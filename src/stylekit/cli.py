@@ -18,6 +18,7 @@ import numpy as np
 from . import checkpoint as ckpt
 from . import contrastive, corpus as corpus_mod, features, metrics
 from .lexer import LexError, lex
+from .syntax import SyntaxUnsupported
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -367,8 +368,8 @@ _COMMANDS = {
 
 _INPUT_ERRORS = (
     FileNotFoundError, IsADirectoryError, UnicodeDecodeError, LexError,
-    features.EmptySource, features.SchemaMismatch, metrics.EmptyInput,
-    corpus_mod.MalformedRecord, corpus_mod.RatioError,
+    SyntaxUnsupported, features.EmptySource, features.SchemaMismatch,
+    metrics.EmptyInput, corpus_mod.MalformedRecord, corpus_mod.RatioError,
     ckpt.CheckpointError, json.JSONDecodeError, KeyError, ValueError,
 )
 

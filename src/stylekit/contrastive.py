@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import analyze, normalize
-from .lexer import lex, line_profile
+from .lexer import lex
 from .nn import (
     CodeTower,
     EncoderModel,
@@ -29,7 +29,7 @@ from .nn import (
     l2_normalize_backward,
     new_adam_state,
 )
-from .syntax import block_spans
+from .syntax import SourceDoc, _iter_spans
 
 MIN_SNIPPET_LINES = 3  # non-blank lines
 
@@ -82,11 +82,10 @@ class TrainConfig:
 def extract_snippets(source: str) -> list[str]:
     """Style-identical sub-snippets: def/loop bodies and comment blocks
     of at least MIN_SNIPPET_LINES non-blank lines, in line order."""
-    lines = source.splitlines()
-    spans: list[tuple[int, int]] = []
-    for span in block_spans(source):
-        spans.append((span.body_start, span.body_end))
-    profile = line_profile(source)
+    doc = SourceDoc.of(source, lenient=True)
+    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.module)]
+    lines = doc.text.splitlines()
+    profile = doc.profile
     run_start = None
     for idx, rec in enumerate(profile.lines, start=1):
         if rec.is_comment_only:

@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .features import SCHEMA, StyleVector, analyze, normalize
-from .lexer import LexError, lex
+from .lexer import LexError
+from .syntax import SourceDoc, SyntaxUnsupported
 
 DEFAULT_MAX_TOKENS = 378
 
@@ -70,7 +71,7 @@ class CorpusFile:
 
 def token_count(text: str) -> int:
     """Lexer token count: comments included, Newline/Indent/Dedent not."""
-    return sum(1 for t in lex(text, lenient=True) if not t.is_synthetic())
+    return len(SourceDoc.of(text, lenient=True).texts)
 
 
 def _dedup_key(text: str) -> str:
@@ -200,7 +201,7 @@ def precompute_styles(corpus: CorpusFile) -> CorpusFile:
         if vec is None:
             try:
                 vec = normalize(analyze(rec.code2))
-            except (LexError, ValueError) as exc:
+            except (LexError, SyntaxUnsupported, ValueError) as exc:
                 errors[rec.id] = f"{type(exc).__name__}: {exc}"
                 vec = None
         records.append(CorpusRecord(id=rec.id, code1=rec.code1,

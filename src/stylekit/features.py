@@ -25,6 +25,11 @@ Definitions that the one-line feature names leave open are pinned here:
 * ``space_pattern_code`` collapses a 24x64 binary occupancy matrix (first
   24 lines, first 64 display columns, 1 where a non-whitespace character
   sits) to its density.
+
+``analyze`` reads one :class:`~stylekit.syntax.SourceDoc` per source, so
+all three feature groups share a single lex and parse. The steps that are
+always lenient (identifiers, line profile, module pseudo-function) read a
+strict doc too: a strict lex or parse that succeeds equals the lenient one.
 """
 
 from __future__ import annotations
@@ -37,22 +42,14 @@ import string
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import (
-    LineProfile,
-    Token,
-    TokenKind,
-    lex,
-    line_profile,
-    normalize_newlines,
-)
+from .lexer import LineProfile, Token, TokenKind, normalize_newlines
 from .syntax import (
     FunctionInfo,
     Node,
+    SourceDoc,
     Stmt,
     _def_name_and_params,
-    module_pseudo_function,
-    parse_functions,
-    parse_module,
+    _pseudo_function,
 )
 
 SCHEMA = "s2c-style-v1"
@@ -301,16 +298,13 @@ def _walk_identifiers(node: Node, names: list[str]) -> None:
 
 def extract_identifiers(source: str) -> list[IdentifierRecord]:
     """Distinct binding-site names in first-appearance order."""
-    module = parse_module(source, lenient=True)
+    return _identifiers(SourceDoc.of(source, lenient=True))
+
+
+def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
     names: list[str] = []
-    _walk_identifiers(module, names)
-    seen: set[str] = set()
-    records = []
-    for name in names:
-        if name not in seen:
-            seen.add(name)
-            records.append(classify_identifier(name))
-    return records
+    _walk_identifiers(doc.module, names)
+    return [classify_identifier(name) for name in dict.fromkeys(names)]
 
 
 # -- feature groups -----------------------------------------------------------
@@ -333,8 +327,8 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
     dist_snake = share(NameCategory.SNAKE_CASE)
     dist_camel = share(NameCategory.CAMEL_CASE)
     dist_upper = share(NameCategory.UPPER_CASE)
-    non_ws = sum(1 for c in source if not c.isspace())
-    punct = sum(1 for c in source if c in string.punctuation)
+    non_ws = sum(map(len, source.split()))
+    punct = sum(map(source.count, string.punctuation))
     return [
         chars / n,
         sum(1 for t in texts if not any(c.isupper() for c in t)) / n,
@@ -446,18 +440,13 @@ def layout_features(profile: LineProfile, tokens: list[Token],
     defs = arrows = 0
     stmt_start = True
     saw_def = False
-    depth = 0
-    for tok in tokens:
+    for tok, depth in zip(tokens, _depth_profile(tokens)):
         if tok.kind is TokenKind.NEWLINE:
             stmt_start = True
             saw_def = False
             continue
         if tok.is_synthetic():
             continue
-        if tok.kind is TokenKind.PUNCT and tok.text in "([{":
-            depth += 1
-        elif tok.kind is TokenKind.PUNCT and tok.text in ")]}":
-            depth = max(0, depth - 1)
         if tok.kind is TokenKind.KEYWORD and tok.text == "def" and stmt_start:
             defs += 1
             saw_def = True
@@ -500,10 +489,13 @@ def structural_features(functions: list[FunctionInfo], source: str) -> list[floa
     measured as one whole-file pseudo-function. ``exception_score``,
     ``redundancy_ratio`` and ``annotation_ratio`` pool over the file.
     """
-    source = normalize_newlines(source)
-    profile = line_profile(source)
+    return _structural_features(functions, SourceDoc.of(source, lenient=True))
+
+
+def _structural_features(functions: list[FunctionInfo], doc: SourceDoc) -> list[float]:
+    profile = doc.profile
     if not functions:
-        functions = [module_pseudo_function(source, profile.total_lines)]
+        functions = [_pseudo_function(doc.module, profile.total_lines)]
 
     def effective_params(rec: FunctionInfo):
         params = list(rec.params)
@@ -517,7 +509,7 @@ def structural_features(functions: list[FunctionInfo], source: str) -> list[floa
     specific = sum(1 for c in clauses if c.value == "Specific")
 
     code_lines = []
-    for rec, text in zip(profile.lines, source.splitlines()):
+    for rec, text in zip(profile.lines, doc.text.splitlines()):
         if rec.is_blank or rec.is_comment_only:
             continue
         code_lines.append(" ".join(text.split()))
@@ -550,18 +542,20 @@ def analyze(source: str, lenient: bool = False) -> StyleVectorRaw:
     headers raise. Lenient mode tokenizes through problems and keeps
     whatever parses.
     """
-    source = normalize_newlines(source)
-    if not source.strip():
+    return analyze_doc(SourceDoc.of(source, lenient))
+
+
+def analyze_doc(doc: SourceDoc) -> StyleVectorRaw:
+    """``analyze`` of an already built doc, in the doc's mode."""
+    if not doc.text.strip():
         raise EmptySource("source is empty after stripping whitespace")
-    tokens = lex(source, lenient=lenient)
-    profile = line_profile(source)
-    functions = parse_functions(source, lenient=lenient)
-    identifiers = extract_identifiers(source)
+    functions = doc.functions
+    identifiers = _identifiers(doc)
     warnings = () if identifiers else ("empty-identifier-set",)
     values = (
-        naming_features(identifiers, source)
-        + layout_features(profile, tokens, source)
-        + structural_features(functions, source)
+        naming_features(identifiers, doc.text)
+        + layout_features(doc.profile, doc.tokens, doc.text)
+        + _structural_features(functions, doc)
     )
     return StyleVectorRaw(values=tuple(values), warnings=warnings)
 

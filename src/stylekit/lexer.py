@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import re
+import string
 from dataclasses import dataclass
 
 TAB_WIDTH = 4
@@ -31,7 +32,6 @@ STRING_PREFIXES = frozenset((
     "r", "b", "u", "f", "rb", "br", "rf", "fr",
 ))
 
-# Multi-character entries must come before their prefixes (longest match).
 OPERATORS = (
     "**=", "//=", ">>=", "<<=",
     "==", "!=", "<=", ">=", "->", ":=", "+=", "-=", "*=", "/=", "%=",
@@ -41,8 +41,24 @@ OPERATORS = (
 
 PUNCTS = ("...", "(", ")", "[", "]", "{", "}", ",", ":", ".", ";")
 
+_PUNCT_SET = frozenset(PUNCTS)
 _OPENERS = frozenset("([{")
 _CLOSERS = frozenset(")]}")
+
+# Longest match first. No punctuation token shares a prefix with an
+# operator, so this equals trying every operator before any punctuation.
+_OP_OR_PUNCT_RE = re.compile("|".join(
+    re.escape(tok) for tok in sorted(OPERATORS + PUNCTS, key=len, reverse=True)
+))
+_BLANKS_RE = re.compile(r"[ \t]*")
+# String bodies: a backslash takes the next character (a newline too) with
+# it; a one-quote body also stops at a newline, unterminated.
+_STRING_BODY_RE = {
+    "'": re.compile(r"(?:[^'\\\n]+|\\[\s\S]?)*"),
+    '"': re.compile(r'(?:[^"\\\n]+|\\[\s\S]?)*'),
+    "'''": re.compile(r"(?:[^'\\]+|\\[\s\S]?|'(?!''))*"),
+    '"""': re.compile(r'(?:[^"\\]+|\\[\s\S]?|"(?!""))*'),
+}
 
 _IDENT_RE = re.compile(r"[^\W\d]\w*", re.UNICODE)
 _NUMBER_RE = re.compile(
@@ -71,7 +87,9 @@ class TokenKind(enum.Enum):
     DEDENT = "Dedent"
 
 
-_SYNTHETIC = frozenset((TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT))
+# A tuple, not a set: membership tests identity first and never calls the
+# Python-level ``Enum.__hash__``.
+_SYNTHETIC = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
 
 
 @dataclass(frozen=True)
@@ -101,204 +119,171 @@ def normalize_newlines(source: str) -> str:
 
 
 def indent_columns(ws: str) -> int:
-    """Display width of a leading-whitespace string under TAB_WIDTH stops."""
-    col = 0
-    for ch in ws:
-        if ch == "\t":
-            col += TAB_WIDTH - (col % TAB_WIDTH)
-        else:
-            col += 1
-    return col
+    """Display width of a line's leading whitespace under TAB_WIDTH stops."""
+    return len(ws.expandtabs(TAB_WIDTH))
 
 
 class _Scanner:
+    """One pass over newline-normalized text. Each handler takes the offset
+    of a token's first character and returns the offset after it. Columns
+    are measured onward from the last measured offset of the same line."""
+
     def __init__(self, source: str, lenient: bool):
         self.src = source
         self.n = len(source)
         self.lenient = lenient
-        self.pos = 0
-        self.line = 1
-        self.col = 0
         self.tokens: list[Token] = []
         self.indents = [0]
-        self.depth = 0              # open-bracket depth
+        self.depth = 0               # open-bracket depth
         self.line_has_token = False  # any token on the current logical line
-        self.continuation = False    # previous line ended with a backslash join
+        self.line = 1
+        self.mark = 0                # last measured offset on the current line
+        self.mark_col = 0            # its display column
+        tab = source.find("\t")     # no tab lies from ``mark`` up to here
+        self.next_tab = tab if tab >= 0 else self.n
 
-    # -- low-level movement ------------------------------------------------
+    def _col(self, pos: int) -> int:
+        """Display column of ``pos``, on the current line and not before
+        the last measured offset."""
+        if pos <= self.next_tab:
+            col = self.mark_col + pos - self.mark
+        else:
+            pad = self.mark_col % TAB_WIDTH
+            seg = " " * pad + self.src[self.mark:pos]
+            col = self.mark_col - pad + len(seg.expandtabs(TAB_WIDTH))
+            tab = self.src.find("\t", pos)
+            self.next_tab = tab if tab >= 0 else self.n
+        self.mark, self.mark_col = pos, col
+        return col
 
-    def _advance(self, count: int = 1) -> None:
-        for _ in range(count):
-            ch = self.src[self.pos]
-            self.pos += 1
-            if ch == "\n":
-                self.line += 1
-                self.col = 0
-            elif ch == "\t":
-                self.col += TAB_WIDTH - (self.col % TAB_WIDTH)
-            else:
-                self.col += 1
-
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.src[i] if i < self.n else ""
-
-    def _emit(self, kind: TokenKind, text: str, line: int, col: int) -> None:
-        self.tokens.append(Token(kind, text, line, col))
-        if kind not in _SYNTHETIC:
-            self.line_has_token = True
+    def _emit(self, kind: TokenKind, text: str, pos: int) -> None:
+        self.tokens.append(Token(kind, text, self.line, self._col(pos)))
+        self.line_has_token = True
 
     # -- line structure ----------------------------------------------------
 
-    def _handle_line_start(self) -> None:
-        """Consume leading whitespace; update the indent stack on code lines."""
-        while self._peek() in (" ", "\t"):
-            self._advance()
-        ch = self._peek()
-        if ch in ("", "\n", "#"):
-            return  # blank or comment-only: indentation is not evidence
-        cols = self.col
+    def _line_start(self, pos: int) -> int:
+        """Skip a line's indentation outside brackets; update the indent
+        stack on code lines."""
+        end = _BLANKS_RE.match(self.src, pos).end()
+        if end == self.n or self.src[end] in "\n#":
+            return end  # blank or comment-only: indentation is not evidence
+        cols = self._col(end)
+        while cols < self.indents[-1]:
+            self.indents.pop()
+            self.tokens.append(Token(TokenKind.DEDENT, "", self.line, 0))
         if cols > self.indents[-1]:
+            # Deeper, or an inconsistent dedent, which opens a fresh level.
             self.indents.append(cols)
-            self._emit(TokenKind.INDENT, "", self.line, 0)
-        elif cols < self.indents[-1]:
-            while self.indents[-1] > cols:
-                self.indents.pop()
-                self._emit(TokenKind.DEDENT, "", self.line, 0)
-            if self.indents[-1] != cols:
-                # Tolerate inconsistent dedents by opening a fresh level.
-                self.indents.append(cols)
-                self._emit(TokenKind.INDENT, "", self.line, 0)
+            self.tokens.append(Token(TokenKind.INDENT, "", self.line, 0))
+        return end
 
-    def _end_physical_line(self) -> None:
-        """Called with pos at a newline character."""
-        if self.depth == 0:
-            if self.line_has_token:
-                self._emit(TokenKind.NEWLINE, "", self.line, self.col)
+    def _newline(self, pos: int) -> int:
+        if self.depth == 0 and self.line_has_token:
+            self.tokens.append(Token(TokenKind.NEWLINE, "", self.line, self._col(pos)))
             self.line_has_token = False
-        self._advance()
+        self.line += 1
+        self.mark, self.mark_col = pos + 1, 0
+        return self._line_start(pos + 1) if self.depth == 0 else pos + 1
+
+    def _backslash(self, pos: int) -> int:
+        if self.src.startswith("\n", pos + 1):
+            # A backslash join: the next line continues this logical line.
+            self.line += 1
+            self.mark, self.mark_col = pos + 2, 0
+            return pos + 2
+        return self._op_or_punct(pos)
+
+    def _blanks(self, pos: int) -> int:
+        return _BLANKS_RE.match(self.src, pos).end()
 
     # -- token scanners ------------------------------------------------------
 
-    def _scan_comment(self) -> None:
-        line, col = self.line, self.col
-        start = self.pos
-        while self._peek() not in ("", "\n"):
-            self._advance()
-        self._emit(TokenKind.COMMENT, self.src[start:self.pos], line, col)
+    def _comment(self, pos: int) -> int:
+        end = self.src.find("\n", pos)
+        if end < 0:
+            end = self.n
+        self._emit(TokenKind.COMMENT, self.src[pos:end], pos)
+        return end
 
-    def _scan_string(self, start: int, line: int, col: int) -> None:
+    def _string(self, pos: int, start: int | None = None) -> int:
         """pos sits on the opening quote; start marks the prefix, if any."""
-        quote = self._peek()
-        triple = self._peek(1) == quote and self._peek(2) == quote
-        self._advance(3 if triple else 1)
-        closer = quote * 3 if triple else quote
-        while True:
-            ch = self._peek()
-            if ch == "":
-                if self.lenient:
-                    break
-                raise UnterminatedString(line)
-            if ch == "\\":
-                if self.pos + 1 < self.n:
-                    self._advance(2)
-                else:
-                    self._advance()
-                continue
-            if not triple and ch == "\n":
-                if self.lenient:
-                    break
-                raise UnterminatedString(line)
-            if ch == quote and (not triple or self.src.startswith(closer, self.pos)):
-                self._advance(len(closer))
-                break
-            self._advance()
-        self._emit(TokenKind.STRING, self.src[start:self.pos], line, col)
+        src, start = self.src, pos if start is None else start
+        delim = src[pos] * 3 if src.startswith(src[pos] * 3, pos) else src[pos]
+        end = _STRING_BODY_RE[delim].match(src, pos + len(delim)).end()
+        if src.startswith(delim, end):
+            end += len(delim)
+        elif not self.lenient:
+            raise UnterminatedString(self.line)
+        self._emit(TokenKind.STRING, src[start:end], start)
+        newlines = src.count("\n", pos, end)
+        if newlines:
+            self.line += newlines
+            self.mark, self.mark_col = src.rfind("\n", pos, end) + 1, 0
+        return end
 
-    def _scan_word(self) -> None:
-        line, col, start = self.line, self.col, self.pos
-        match = _IDENT_RE.match(self.src, self.pos)
-        text = match.group(0)
-        nxt = self.src[self.pos + len(text)] if self.pos + len(text) < self.n else ""
-        if text.lower() in STRING_PREFIXES and nxt in ("'", '"'):
-            self._advance(len(text))
-            self._scan_string(start, line, col)
-            return
-        self._advance(len(text))
+    def _word(self, pos: int) -> int:
+        text = _IDENT_RE.match(self.src, pos).group()
+        end = pos + len(text)
+        if self.src[end:end + 1] in ("'", '"') and text.lower() in STRING_PREFIXES:
+            return self._string(end, pos)
         kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        self._emit(kind, text, line, col)
+        self._emit(kind, text, pos)
+        return end
 
-    def _scan_number(self) -> None:
-        line, col = self.line, self.col
-        match = _NUMBER_RE.match(self.src, self.pos)
-        text = match.group(0)
-        self._advance(len(text))
-        self._emit(TokenKind.NUMBER, text, line, col)
+    def _number(self, pos: int) -> int:
+        text = _NUMBER_RE.match(self.src, pos).group()
+        self._emit(TokenKind.NUMBER, text, pos)
+        return pos + len(text)
 
-    def _scan_operator_or_punct(self) -> None:
-        line, col = self.line, self.col
-        for op in OPERATORS:
-            if self.src.startswith(op, self.pos):
-                # ``.`` starting a number is handled by the caller; ``...`` below.
-                self._advance(len(op))
-                self._emit(TokenKind.OPERATOR, op, line, col)
-                return
-        for p in PUNCTS:
-            if self.src.startswith(p, self.pos):
-                if p in _OPENERS:
-                    self.depth += 1
-                elif p in _CLOSERS:
-                    self.depth = max(0, self.depth - 1)
-                self._advance(len(p))
-                self._emit(TokenKind.PUNCT, p, line, col)
-                return
-        # Unknown characters are tolerated, never an error.
-        ch = self._peek()
-        self._advance()
-        self._emit(TokenKind.PUNCT, ch, line, col)
+    def _op_or_punct(self, pos: int) -> int:
+        match = _OP_OR_PUNCT_RE.match(self.src, pos)
+        if match is None:
+            # Unknown characters are tolerated, never an error.
+            self._emit(TokenKind.PUNCT, self.src[pos], pos)
+            return pos + 1
+        text = match.group()
+        if text in _OPENERS:
+            self.depth += 1
+        elif text in _CLOSERS:
+            self.depth = max(0, self.depth - 1)
+        self._emit(TokenKind.PUNCT if text in _PUNCT_SET else TokenKind.OPERATOR, text, pos)
+        return pos + len(text)
+
+    def _other(self, pos: int) -> int:
+        """The general rules, for a dot and for characters outside ASCII."""
+        ch = self.src[pos]
+        if ch.isdigit() or (ch == "." and self.src[pos + 1:pos + 2].isdigit()):
+            return self._number(pos)
+        if _IDENT_RE.match(self.src, pos):
+            return self._word(pos)
+        return self._op_or_punct(pos)
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> list[Token]:
-        at_line_start = True
-        while self.pos < self.n:
-            if at_line_start:
-                if self.depth == 0 and not self.continuation:
-                    self._handle_line_start()
-                else:
-                    while self._peek() in (" ", "\t"):
-                        self._advance()
-                self.continuation = False
-                at_line_start = False
-                continue
-            ch = self._peek()
-            if ch == "\n":
-                self._end_physical_line()
-                at_line_start = True
-            elif ch in (" ", "\t"):
-                self._advance()
-            elif ch == "\\" and self._peek(1) == "\n":
-                self._advance(2)
-                if self.depth == 0:
-                    self.continuation = True
-                at_line_start = True
-            elif ch == "#":
-                self._scan_comment()
-            elif ch in ("'", '"'):
-                self._scan_string(self.pos, self.line, self.col)
-            elif ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-                self._scan_number()
-            elif _IDENT_RE.match(self.src, self.pos):
-                self._scan_word()
-            else:
-                self._scan_operator_or_punct()
+        src, n, dispatch, other = self.src, self.n, _DISPATCH, _Scanner._other
+        pos = self._line_start(0)
+        while pos < n:
+            pos = dispatch.get(src[pos], other)(self, pos)
+        col = self._col(n)
         if self.line_has_token:
-            self._emit(TokenKind.NEWLINE, "", self.line, self.col)
-        dedent_line = self.line if self.col == 0 else self.line + 1
-        while self.indents[-1] > 0:
-            self.indents.pop()
-            self._emit(TokenKind.DEDENT, "", dedent_line, 0)
+            self.tokens.append(Token(TokenKind.NEWLINE, "", self.line, col))
+        dedent_line = self.line if col == 0 else self.line + 1
+        self.tokens.extend(Token(TokenKind.DEDENT, "", dedent_line, 0)
+                           for _ in self.indents[1:])
         return self.tokens
+
+
+# Handler by first character; characters not listed take ``_Scanner._other``.
+_DISPATCH = {
+    " ": _Scanner._blanks, "\t": _Scanner._blanks, "\n": _Scanner._newline,
+    "\\": _Scanner._backslash, "#": _Scanner._comment,
+    "'": _Scanner._string, '"': _Scanner._string,
+    **dict.fromkeys(string.digits, _Scanner._number),
+    **dict.fromkeys(string.ascii_letters + "_", _Scanner._word),
+    **dict.fromkeys("".join(OPERATORS + PUNCTS).replace(".", ""), _Scanner._op_or_punct),
+}
 
 
 def lex(source: str, lenient: bool = False) -> list[Token]:
@@ -338,15 +323,19 @@ def line_profile(source: str) -> LineProfile:
     lenient token pass, so a ``#`` inside a string never counts.
     """
     source = normalize_newlines(source)
+    return profile_lines(source, lex(source, lenient=True))
+
+
+def profile_lines(source: str, tokens: list[Token]) -> LineProfile:
+    """The line profile of newline-normalized ``source`` from its tokens."""
     raw_lines = source.splitlines()
     comment_lines: set[int] = set()
     code_lines: set[int] = set()
-    for tok in lex(source, lenient=True):
+    for tok in tokens:
         if tok.kind is TokenKind.COMMENT:
             comment_lines.add(tok.line)
-        elif not tok.is_synthetic():
-            for ln in range(tok.line, tok.line + tok.text.count("\n") + 1):
-                code_lines.add(ln)
+        elif tok.kind not in _SYNTHETIC:
+            code_lines.update(range(tok.line, tok.line + tok.text.count("\n") + 1))
     records = []
     for idx, text in enumerate(raw_lines, start=1):
         stripped = text.strip()

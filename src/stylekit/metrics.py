@@ -3,7 +3,7 @@
 Both BLEU and ROUGE tokenize through the code lexer (comments kept,
 synthetic whitespace tokens dropped), so the scores are insensitive to
 whitespace layout; layout fidelity is what CSS and the style loss are
-for.
+for. ``score`` reads both from one :class:`~stylekit.syntax.SourceDoc` per side.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .features import NAMING_SLICE, SchemaMismatch, StyleVector, analyze, normalize
-from .lexer import lex
+from .features import (NAMING_SLICE, SchemaMismatch, StyleVector, analyze,
+                       analyze_doc, normalize)
+from .syntax import SourceDoc
 
 
 class EmptyInput(ValueError):
@@ -74,7 +75,10 @@ def css(a: StyleVector, b: StyleVector) -> float:
 def style_loss(candidate_source: str, target: StyleVector) -> float:
     """Mean squared error between the candidate's normalized style vector
     and the target vector, over all 34 dimensions."""
-    vec = normalize(analyze(candidate_source))
+    return _style_loss(normalize(analyze(candidate_source)), target)
+
+
+def _style_loss(vec: StyleVector, target: StyleVector) -> float:
     if vec.schema != target.schema:
         raise SchemaMismatch(f"{vec.schema!r} vs {target.schema!r}")
     return sum((x - y) ** 2 for x, y in zip(vec.values, target.values)) / len(vec.values)
@@ -90,7 +94,7 @@ def total_loss(ce: float, style: float, cfg: LossConfig = LossConfig()) -> float
 def metric_tokens(source: str) -> list[str]:
     """Token texts as scored by BLEU/ROUGE: lexed, comments kept,
     Newline/Indent/Dedent dropped."""
-    return [t.text for t in lex(source, lenient=True) if not t.is_synthetic()]
+    return SourceDoc.of(source, lenient=True).texts
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
@@ -104,8 +108,10 @@ def bleu4(candidate: str, reference: str) -> float:
     1 / (2 * hypothesis n-gram count); a zero unigram precision stays
     zero, so token-disjoint pairs score 0.0.
     """
-    cand = metric_tokens(candidate)
-    ref = metric_tokens(reference)
+    return _bleu4(metric_tokens(candidate), metric_tokens(reference))
+
+
+def _bleu4(cand: list[str], ref: list[str]) -> float:
     if not cand or not ref:
         raise EmptyInput("bleu4 needs non-empty token streams")
     log_sum = 0.0
@@ -152,8 +158,10 @@ def rouge(candidate: str, reference: str, variant: str) -> RougeScore:
 
     ``variant`` is one of ``"R1"``, ``"R2"``, ``"RL"``.
     """
-    cand = metric_tokens(candidate)
-    ref = metric_tokens(reference)
+    return _rouge(metric_tokens(candidate), metric_tokens(reference), variant)
+
+
+def _rouge(cand: list[str], ref: list[str], variant: str) -> RougeScore:
     if not cand or not ref:
         raise EmptyInput("rouge needs non-empty token streams")
     if variant == "RL":
@@ -171,13 +179,15 @@ def rouge(candidate: str, reference: str, variant: str) -> RougeScore:
 def score(candidate: str, reference: str) -> MetricReport:
     """Full report for a candidate-reference pair: CSS and style loss are
     measured against the reference's style vector."""
-    target = normalize(analyze(reference))
-    cand_vec = normalize(analyze(candidate))
+    ref = SourceDoc.of(reference)
+    target = normalize(analyze_doc(ref))
+    cand = SourceDoc.of(candidate)
+    cand_vec = normalize(analyze_doc(cand))
     return MetricReport(
         css=css(cand_vec, target),
-        bleu4=bleu4(candidate, reference),
-        rouge1=rouge(candidate, reference, "R1"),
-        rouge2=rouge(candidate, reference, "R2"),
-        rougeL=rouge(candidate, reference, "RL"),
-        style_loss=style_loss(candidate, target),
+        bleu4=_bleu4(cand.texts, ref.texts),
+        rouge1=_rouge(cand.texts, ref.texts, "R1"),
+        rouge2=_rouge(cand.texts, ref.texts, "R2"),
+        rougeL=_rouge(cand.texts, ref.texts, "RL"),
+        style_loss=_style_loss(cand_vec, target),
     )

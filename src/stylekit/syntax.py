@@ -5,14 +5,22 @@ nests them by indent depth, and recognizes the compound statements needed
 for structural style features (``def``, ``class``, branches, loops,
 ``with``, ``try``). Anything else is carried as an opaque statement, so
 unusual constructs degrade gracefully instead of failing.
+
+A :class:`SourceDoc` is one source analysed once, for every consumer: a
+single lex, with the line profile, block tree and function records built
+from its tokens. One doc serves both modes. ``lenient`` only changes how
+the lexer treats an unterminated string and how the parser treats a header
+with no colon or a malformed ``def`` header, so a strict lex or parse that
+succeeds equals the lenient one.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .lexer import Token, TokenKind, lex
+from .lexer import LineProfile, Token, TokenKind, lex, normalize_newlines, profile_lines
 
 _BLOCK_KEYWORDS = frozenset((
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -175,18 +183,49 @@ def _last_top_level_colon(tokens: list[Token]) -> int | None:
     return found
 
 
+@dataclass(frozen=True)
+class SourceDoc:
+    """Newline-normalized ``text`` and its single lex; build with :meth:`of`.
+    The profile, block tree and function records are built from ``tokens``
+    on first use and kept; a strict doc's parse may raise SyntaxUnsupported."""
+    text: str
+    lenient: bool
+    tokens: list[Token]
+
+    @classmethod
+    def of(cls, source: str, lenient: bool = False) -> SourceDoc:
+        text = normalize_newlines(source)
+        return cls(text, lenient, lex(text, lenient=lenient))
+
+    @cached_property
+    def texts(self) -> list[str]:  # non-synthetic tokens, comments included
+        return [t.text for t in self.tokens if not t.is_synthetic()]
+
+    @cached_property
+    def profile(self) -> LineProfile:
+        return profile_lines(self.text, self.tokens)
+
+    @cached_property
+    def module(self) -> Node:
+        stmts = _logical_lines(self.tokens)
+        module = Node(kind="module", header=None)
+        module.children, idx = _parse_block(stmts, 0, -1, self.lenient)
+        # Any residue means the level bookkeeping went sideways; treat the
+        # leftovers as flat statements rather than dropping them.
+        module.children.extend(stmt for _, stmt in stmts[idx:])
+        return module
+
+    @cached_property
+    def functions(self) -> list[FunctionInfo]:
+        """One record per ``def`` in source order (nested defs included)."""
+        records: list[FunctionInfo] = []
+        _collect_defs(self.module, False, records, self.lenient)
+        return records
+
+
 def parse_module(source: str, lenient: bool = False) -> Node:
     """Parse source into a block tree rooted at a ``module`` node."""
-    tokens = lex(source, lenient=lenient)
-    stmts = _logical_lines(tokens)
-    module = Node(kind="module", header=None)
-    module.children, idx = _parse_block(stmts, 0, -1, lenient)
-    # Any residue means the level bookkeeping went sideways; treat the
-    # leftovers as flat statements rather than dropping them.
-    while idx < len(stmts):
-        module.children.append(stmts[idx][1])
-        idx += 1
-    return module
+    return SourceDoc.of(source, lenient).module
 
 
 def _parse_block(stmts, idx, parent_level, lenient):
@@ -432,15 +471,15 @@ def parse_functions(source: str, lenient: bool = False) -> list[FunctionInfo]:
     Strict mode raises :class:`SyntaxUnsupported` on malformed headers;
     lenient mode skips the offender and keeps going.
     """
-    module = parse_module(source, lenient=lenient)
-    records: list[FunctionInfo] = []
-    _collect_defs(module, False, records, lenient)
-    return records
+    return SourceDoc.of(source, lenient).functions
 
 
 def module_pseudo_function(source: str, total_lines: int) -> FunctionInfo:
     """Whole-file record used when a file defines no functions."""
-    module = parse_module(source, lenient=True)
+    return _pseudo_function(SourceDoc.of(source, lenient=True).module, total_lines)
+
+
+def _pseudo_function(module: Node, total_lines: int) -> FunctionInfo:
     stats = _BlockStats()
     _measure_block(module, stats)
     return FunctionInfo(
@@ -469,23 +508,20 @@ class BlockSpan:
 
 
 def block_spans(source: str) -> list[BlockSpan]:
-    module = parse_module(source, lenient=True)
-    spans: list[BlockSpan] = []
-    _collect_spans(module, spans)
-    return spans
+    return list(_iter_spans(SourceDoc.of(source, lenient=True).module))
 
 
-def _collect_spans(node: Node, out: list[BlockSpan]) -> None:
+def _iter_spans(node: Node):
     for child in node.children:
         if not isinstance(child, Node):
             continue
         if child.kind in ("def", "for", "while"):
             lo, hi = child.line_range()
             if lo is not None:
-                out.append(BlockSpan(
+                yield BlockSpan(
                     kind=child.kind,
                     header_line=child.header.line_start,
                     body_start=lo,
                     body_end=hi,
-                ))
-        _collect_spans(child, out)
+                )
+        yield from _iter_spans(child)

@@ -130,6 +130,19 @@ def test_json_error_on_stderr_is_single_line_json(capsys):
     assert doc["error"] == "FileNotFoundError"
 
 
+def test_malformed_def_header_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.py"
+    bad.write_text("def f(x)\n    return x\n")
+    code, out, err = run(capsys, "analyze", bad, "--json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip()) == {
+        "error": "SyntaxUnsupported",
+        "message": "line 1: unsupported or malformed def header",
+        "code": 2,
+    }
+
+
 def test_corpus_roundtrip(tmp_path, capsys):
     src_dir = tmp_path / "srcs"
     src_dir.mkdir()

@@ -188,11 +188,13 @@ def test_precompute_idempotent():
 
 
 def test_precompute_flags_bad_record_without_dropping():
-    corp = from_sources([("good", "x = 1"), ("bad", "   ")])
+    corp = from_sources([("good", "x = 1"), ("bad", "   "),
+                         ("no_colon", "def f(x)\n    return x\n")])
     out = precompute_styles(corp)
-    assert len(out.records) == 2
-    assert out.records[1].style_vec is None
-    assert "bad" in out.manifest.style_errors
+    assert len(out.records) == 3
+    assert [r.style_vec is None for r in out.records] == [False, True, True]
+    assert sorted(out.manifest.style_errors) == ["bad", "no_colon"]
+    assert out.manifest.style_errors["no_colon"].startswith("SyntaxUnsupported: line 1")
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import sys
+
 import pytest
 
+import archetype_corpus as ac
+from stylekit import lexer
+from stylekit.contrastive import extract_snippets
+from stylekit.features import analyze
+from stylekit.lexer import line_profile
+from stylekit.metrics import score
 from stylekit.syntax import (
     ExceptKind,
+    SourceDoc,
     SyntaxUnsupported,
     block_spans,
     module_pseudo_function,
@@ -241,3 +250,65 @@ def test_block_spans_for_snippets():
     by_kind = {s.kind: s for s in spans}
     assert by_kind["def"].body_start == 2 and by_kind["def"].body_end == 3
     assert by_kind["for"].body_start == 6 and by_kind["for"].body_end == 7
+
+
+# -- one analysis per source --------------------------------------------------
+
+
+@pytest.fixture
+def lexed(monkeypatch):
+    """Sources passed to ``lex``, counted at every binding in the package."""
+    calls: list[str] = []
+    original = lexer.lex
+
+    def counting(source, lenient=False):
+        calls.append(source)
+        return original(source, lenient=lenient)
+
+    for name, module in list(sys.modules.items()):
+        if name == "stylekit" or name.startswith("stylekit."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, counting)
+    return calls
+
+
+LEX_SRC = (
+    "# leading comment block\n# second line\n# third line\n"
+    "def f(a, b):\n    total = a + b\n    for i in range(b):\n"
+    "        total += i\n        total *= 2\n        total -= 1\n"
+    "    return total\n"
+)
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_analyze_lexes_once(lexed, lenient):
+    analyze(LEX_SRC, lenient=lenient)
+    assert lexed == [LEX_SRC]
+
+
+def test_score_lexes_each_side_once(lexed):
+    other = LEX_SRC.replace("total", "acc")
+    score(LEX_SRC, other)
+    assert sorted(lexed) == sorted([LEX_SRC, other])
+
+
+def test_extract_snippets_lexes_once(lexed):
+    assert len(extract_snippets(LEX_SRC)) == 3
+    assert lexed == [LEX_SRC]
+
+
+def test_strict_doc_equals_lenient_doc_when_strict_succeeds():
+    for _, source, _ in ac.make_corpus(30, seed=2):
+        strict, lenient = SourceDoc.of(source), SourceDoc.of(source, lenient=True)
+        assert strict.tokens == lenient.tokens
+        assert strict.module == lenient.module
+        assert strict.functions == lenient.functions
+        assert strict.profile == lenient.profile == line_profile(source)
+
+
+def test_strict_doc_raises_where_lenient_doc_skips():
+    source = "def f(x)\n    return x\n"
+    with pytest.raises(SyntaxUnsupported):
+        SourceDoc.of(source).functions
+    assert SourceDoc.of(source, lenient=True).functions == []
