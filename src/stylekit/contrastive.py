@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import analyze, normalize
-from .lexer import lex
+from .lexer import lex, split_lines
 from .nn import (
     CodeTower,
     EncoderModel,
@@ -84,7 +84,7 @@ def extract_snippets(source: str) -> list[str]:
     of at least MIN_SNIPPET_LINES non-blank lines, in line order."""
     doc = SourceDoc.of(source, lenient=True)
     spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.module)]
-    lines = doc.text.splitlines()
+    lines = split_lines(doc.text)
     profile = doc.profile
     run_start = None
     for idx, rec in enumerate(profile.lines, start=1):
@@ -259,8 +259,9 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                      hash_seed=cfg.seed)
     model = EncoderModel(style=style, code=code)
 
-    # the expensive analysis happens once per pair, not per epoch
-    anchor_ids = [code.bucket_ids(lex(p.anchor, lenient=True)) for p in pairs]
+    # the expensive analysis happens once per anchor and positive, not per epoch
+    distinct_ids, slot = _anchor_ids(code, pairs)
+    anchor_ids = [distinct_ids[j] for j in slot]
     style_vecs = np.stack([
         np.asarray(normalize(analyze(p.positive)).values, dtype=np.float32)
         for p in pairs
@@ -310,11 +311,18 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     return model, logs
 
 
+def _anchor_ids(code: CodeTower, pairs: list[ContrastivePair]):
+    """Bucket ids of each distinct anchor, lexed once, and for each pair the
+    index of its anchor in that list (pairs of one file share an anchor)."""
+    slots: dict[str, int] = {}
+    slot = [slots.setdefault(p.anchor, len(slots)) for p in pairs]
+    return [code.bucket_ids(lex(anchor, lenient=True)) for anchor in slots], slot
+
+
 def embed_pairs(model: EncoderModel, pairs: list[ContrastivePair]):
     """L2-normalized (code-anchor, style-positive) embeddings for pairs."""
-    anchors = np.stack([
-        model.code.embed_source_tokens(lex(p.anchor, lenient=True)) for p in pairs
-    ])
+    distinct_ids, slot = _anchor_ids(model.code, pairs)
+    anchors = np.stack([model.code.forward([ids])[0] for ids in distinct_ids])[slot]
     styles = model.style.forward(np.stack([
         np.asarray(normalize(analyze(p.positive)).values, dtype=np.float32)
         for p in pairs
@@ -325,17 +333,21 @@ def embed_pairs(model: EncoderModel, pairs: list[ContrastivePair]):
 def recall_at_k(anchor_embs: np.ndarray, style_embs: np.ndarray,
                 pair_ids: list[str], k: int) -> float:
     """Fraction of anchors whose own style embedding ranks in the top k
-    by cosine; ties break on the stable pair id."""
+    by cosine; ties break on the pair id, then on column order.
+
+    Own style ranks in the top k when fewer than k columns beat it: a
+    higher cosine, or an equal one that comes first in that order.
+    """
     if len(pair_ids) == 0:
         raise EmptyHeldout("no held-out pairs")
     sims = anchor_embs @ style_embs.T
-    hits = 0
+    own = np.diag(sims)[:, None]
     n = len(pair_ids)
-    for i in range(n):
-        order = sorted(range(n), key=lambda j: (-sims[i, j], pair_ids[j]))
-        if i in order[:k]:
-            hits += 1
-    return hits / n
+    rank = np.empty(n, dtype=np.int64)   # column j's place in (pair id, column) order
+    rank[sorted(range(n), key=pair_ids.__getitem__)] = np.arange(n)
+    beats = sims > own
+    beats |= (sims == own) & (rank[None, :] < rank[:, None])
+    return int(np.count_nonzero(beats.sum(axis=1) < k)) / n
 
 
 def eval_retrieval(model: EncoderModel, heldout_pairs: list[ContrastivePair],

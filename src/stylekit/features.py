@@ -42,7 +42,7 @@ import string
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import LineProfile, Token, TokenKind, normalize_newlines
+from .lexer import LineProfile, Token, TokenKind, normalize_newlines, split_lines
 from .syntax import (
     FunctionInfo,
     Node,
@@ -394,7 +394,7 @@ def space_pattern(source: str) -> float:
     """Occupancy density of the 24x64 binary line-column matrix."""
     source = normalize_newlines(source)
     occupied = 0
-    for line in source.splitlines()[:SPACE_PATTERN_ROWS]:
+    for line in split_lines(source)[:SPACE_PATTERN_ROWS]:
         expanded = line.expandtabs(4)
         occupied += sum(1 for c in expanded[:SPACE_PATTERN_COLS] if not c.isspace())
     return occupied / (SPACE_PATTERN_ROWS * SPACE_PATTERN_COLS)
@@ -420,7 +420,7 @@ def layout_features(profile: LineProfile, tokens: list[Token],
     levels = [rec.indent_columns / 4 for rec in nonblank]
     indent_avg = fmean(levels) if levels else 0.0
 
-    raw_lines = normalize_newlines(source).splitlines() if source else []
+    raw_lines = split_lines(normalize_newlines(source)) if source else []
     spaced = 0
     binary = 0
     for tok in iter_binary_operators(tokens):
@@ -509,7 +509,7 @@ def _structural_features(functions: list[FunctionInfo], doc: SourceDoc) -> list[
     specific = sum(1 for c in clauses if c.value == "Specific")
 
     code_lines = []
-    for rec, text in zip(profile.lines, doc.text.splitlines()):
+    for rec, text in zip(profile.lines, split_lines(doc.text)):
         if rec.is_blank or rec.is_comment_only:
             continue
         code_lines.append(" ".join(text.split()))

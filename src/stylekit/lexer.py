@@ -113,9 +113,29 @@ class UnterminatedString(LexError):
         self.line = line
 
 
+class InvalidCharacter(LexError):
+    """A character ``str.isdigit`` accepts that no number can start with,
+    such as a superscript ``²``."""
+
+    def __init__(self, line: int, char: str):
+        super().__init__(f"invalid character {char!r} (U+{ord(char):04X}) on line {line}")
+        self.line = line
+        self.char = char
+
+
 def normalize_newlines(source: str) -> str:
     """CRLF and lone CR become LF before any analysis."""
     return source.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def split_lines(source: str) -> list[str]:
+    """Physical lines of newline-normalized text, split at line feeds only,
+    as token line numbers count them (``str.splitlines`` also splits at form
+    feeds and other separators). A trailing newline does not add a line."""
+    lines = source.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
 
 
 def indent_columns(ws: str) -> int:
@@ -232,7 +252,10 @@ class _Scanner:
         return end
 
     def _number(self, pos: int) -> int:
-        text = _NUMBER_RE.match(self.src, pos).group()
+        match = _NUMBER_RE.match(self.src, pos)
+        if match is None:   # "²" or ".²": a digit to str.isdigit, not to \d
+            raise InvalidCharacter(self.line, self.src[pos + (self.src[pos] == ".")])
+        text = match.group()
         self._emit(TokenKind.NUMBER, text, pos)
         return pos + len(text)
 
@@ -290,9 +313,11 @@ def lex(source: str, lenient: bool = False) -> list[Token]:
     """Tokenize source text deterministically.
 
     Comments and string literals are single tokens; operators take the
-    longest match. Unknown characters become ``Punct`` tokens. In strict
-    mode an unclosed string raises :class:`UnterminatedString`; in lenient
-    mode it is closed at end of line / end of file.
+    longest match. Unknown characters become ``Punct`` tokens, except that
+    a non-decimal character ``str.isdigit`` accepts (``²``) raises
+    :class:`InvalidCharacter` in both modes. In strict mode an unclosed
+    string raises :class:`UnterminatedString`; in lenient mode it is closed
+    at end of line / end of file.
     """
     return _Scanner(normalize_newlines(source), lenient).run()
 
@@ -328,7 +353,7 @@ def line_profile(source: str) -> LineProfile:
 
 def profile_lines(source: str, tokens: list[Token]) -> LineProfile:
     """The line profile of newline-normalized ``source`` from its tokens."""
-    raw_lines = source.splitlines()
+    raw_lines = split_lines(source)
     comment_lines: set[int] = set()
     code_lines: set[int] = set()
     for tok in tokens:

@@ -12,6 +12,12 @@ Two encoders share one 1024-dim embedding space:
 
 Training runs in float32; float64 is for gradient checking. Forward
 passes are deterministic for fixed weights and inputs.
+
+``adam_step`` is cache-blocked: it updates params and moments in place,
+``ADAM_BLOCK`` elements at a time, so one slice of params, gradient, both
+moments and two scratch buffers stays in L2 across the update's dozen
+elementwise passes. It runs the same float operations in the same order as
+a whole-tensor update, so its results are bit-exact, at any block size.
 """
 
 from __future__ import annotations
@@ -22,6 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lexer import Token
+
+
+# Elements per Adam slice (128 KB of float32): with the gradient, both
+# moments and two scratch buffers that is about 768 KB, inside a 2 MB L2.
+# Median step over both towers' 3.4M float32 params on a 2-core Xeon
+# (2 MB L2), numpy 2.4: 8K 23.0 ms, 16K 18.5, 32K 16.0, 64K 16.3,
+# 128K 17.2; the whole-tensor update took 26-31 ms.
+ADAM_BLOCK = 32_768
 
 
 class DimensionMismatch(ValueError):
@@ -170,10 +184,16 @@ class CodeTower:
         return int.from_bytes(digest, "little") % self.vocab
 
     def bucket_ids(self, tokens: list[Token]) -> np.ndarray:
-        real = [t for t in tokens if not t.is_synthetic()]
-        if not real:
+        if all(t.is_synthetic() for t in tokens):
             raise EmptyTokenStream("code tower needs at least one real token")
-        ids = [self.bucket(t.kind.value, t.text) for t in tokens]
+        memo: dict[tuple, int] = {}   # tokens repeat; hash each (kind, text) once
+        ids = []
+        for t in tokens:
+            key = (t.kind, t.text)
+            bucket = memo.get(key)
+            if bucket is None:
+                bucket = memo[key] = self.bucket(t.kind.value, t.text)
+            ids.append(bucket)
         return np.asarray(ids, dtype=np.int64)
 
     def forward(self, ids_batch: list[np.ndarray], cache: dict | None = None) -> np.ndarray:
@@ -201,9 +221,16 @@ class CodeTower:
         grads["w1"] = dz1.T @ pooled
         grads["b1"] = dz1.sum(axis=0)
         dpooled = dz1 @ p["w1"]
+        # One scatter over the batch's ids in row order, so every element
+        # sums its contributions in the same order as a per-row loop. It
+        # runs on the flat table, where numpy's 1-D ``add.at`` is fastest.
+        ids_batch = cache["ids_batch"]
+        counts = [len(ids) for ids in ids_batch]
+        rows = np.repeat(dpooled / np.asarray(counts, dtype=self.dtype)[:, None],
+                         counts, axis=0)
+        cells = np.concatenate(ids_batch)[:, None] * self.embed_dim + np.arange(self.embed_dim)
         demb = np.zeros_like(p["emb"])
-        for row, ids in enumerate(cache["ids_batch"]):
-            np.add.at(demb, ids, dpooled[row] / len(ids))
+        np.add.at(demb.reshape(-1), cells.reshape(-1), rows.reshape(-1))
         grads["emb"] = demb
         return grads
 
@@ -244,27 +271,51 @@ def new_adam_state(params: dict[str, np.ndarray]) -> dict:
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
               state: dict, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> dict[str, np.ndarray]:
-    """One in-place Adam update; rejects non-finite gradients up front."""
-    for name in params:
+    """One in-place Adam update; rejects bad input up front, so a rejected
+    step changes nothing.
+
+    Each tensor is updated ``ADAM_BLOCK`` elements at a time through flat
+    views, with two scratch buffers per dtype for the whole call.
+    """
+    for name, p in params.items():
         if name not in grads:
             raise ShapeMismatch(f"missing gradient for {name!r}")
-        if grads[name].shape != params[name].shape:
+        if grads[name].shape != p.shape:
             raise ShapeMismatch(
-                f"gradient {name!r}: {grads[name].shape} vs {params[name].shape}"
+                f"gradient {name!r}: {grads[name].shape} vs {p.shape}"
             )
+        if not all(a.flags.c_contiguous for a in (p, state["m"][name], state["v"][name])):
+            raise ValueError(f"tensor {name!r} or its moments are not C-contiguous")
         if not np.all(np.isfinite(grads[name])):
             raise NonFiniteGradient(name)
     state["t"] += 1
     t = state["t"]
+    c1 = 1 - beta1 ** t
+    c2 = 1 - beta2 ** t
+    size = min(ADAM_BLOCK, max((p.size for p in params.values()), default=0))
+    scratch: dict[np.dtype, tuple[np.ndarray, np.ndarray]] = {}
     for name, p in params.items():
-        g = grads[name].astype(p.dtype, copy=False)
-        m = state["m"][name]
-        v = state["v"][name]
-        m *= beta1
-        m += (1 - beta1) * g
-        v *= beta2
-        v += (1 - beta2) * np.square(g)
-        m_hat = m / (1 - beta1 ** t)
-        v_hat = v / (1 - beta2 ** t)
-        p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype, copy=False)
+        if p.dtype not in scratch:
+            scratch[p.dtype] = (np.empty(size, p.dtype), np.empty(size, p.dtype))
+        buf_a, buf_b = scratch[p.dtype]
+        g = grads[name].astype(p.dtype, copy=False).reshape(-1)
+        pf, mf, vf = (x.reshape(-1) for x in (p, state["m"][name], state["v"][name]))
+        for lo in range(0, p.size, ADAM_BLOCK):
+            hi = min(lo + ADAM_BLOCK, p.size)
+            gs, ps, ms, vs = g[lo:hi], pf[lo:hi], mf[lo:hi], vf[lo:hi]
+            a, b = buf_a[:hi - lo], buf_b[:hi - lo]
+            ms *= beta1                            # m = b1 m + (1 - b1) g
+            np.multiply(gs, 1 - beta1, out=a)
+            ms += a
+            vs *= beta2                            # v = b2 v + (1 - b2) g^2
+            np.square(gs, out=a)
+            a *= 1 - beta2
+            vs += a
+            np.divide(ms, c1, out=a)               # m_hat
+            np.divide(vs, c2, out=b)               # v_hat
+            np.sqrt(b, out=b)
+            b += eps
+            a *= lr                                # p -= lr m_hat / (sqrt(v_hat) + eps)
+            a /= b
+            ps -= a
     return params

@@ -1,18 +1,27 @@
 """The lexer as it was before its single-pass rewrite, kept as a test oracle.
 
-``_Scanner`` and ``lex`` are the earlier implementation, unchanged: one
-character at a time, operators found by ``str.startswith`` probes. The
-differential tests in ``test_lexer_differential.py`` require the production
-lexer to give the same tokens, or raise the same exception class, on every
-input. The constants are copied too, so that the oracle does not follow
-later edits to the production lexer's tables.
+``_Scanner`` and ``lex`` are the earlier implementation: one character at a
+time, operators found by ``str.startswith`` probes. They are unchanged but
+for one deliberate edit: a character that ``str.isdigit`` accepts but no
+number can start with (``²``) raises ``InvalidCharacter``, where it used to
+raise ``AttributeError``. The differential tests in
+``test_lexer_differential.py`` require the production lexer to give the same
+tokens, or raise the same exception class, on every input. The constants are
+copied too, so that the oracle does not follow later edits to the production
+lexer's tables.
 """
 
 from __future__ import annotations
 
 import re
 
-from stylekit.lexer import Token, TokenKind, UnterminatedString, normalize_newlines
+from stylekit.lexer import (
+    InvalidCharacter,
+    Token,
+    TokenKind,
+    UnterminatedString,
+    normalize_newlines,
+)
 
 TAB_WIDTH = 4
 
@@ -178,6 +187,11 @@ class _Scanner:
     def _scan_number(self) -> None:
         line, col = self.line, self.col
         match = _NUMBER_RE.match(self.src, self.pos)
+        if match is None:
+            # Changed on purpose: the earlier lexer raised AttributeError
+            # here; both lexers now raise InvalidCharacter.
+            ch = self._peek()
+            raise InvalidCharacter(self.line, self._peek(1) if ch == "." else ch)
         text = match.group(0)
         self._advance(len(text))
         self._emit(TokenKind.NUMBER, text, line, col)

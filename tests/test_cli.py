@@ -143,6 +143,15 @@ def test_malformed_def_header_is_input_error(tmp_path, capsys):
     }
 
 
+def test_invalid_character_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "bad.py"
+    bad.write_text("y = ²\n", encoding="utf-8")
+    code, out, err = run(capsys, "analyze", bad, "--json")
+    assert code == 2
+    assert out == ""
+    assert json.loads(err.strip())["error"] == "InvalidCharacter"
+
+
 def test_corpus_roundtrip(tmp_path, capsys):
     src_dir = tmp_path / "srcs"
     src_dir.mkdir()

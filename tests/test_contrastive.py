@@ -61,6 +61,12 @@ def test_extract_snippets_loop_body_and_comment_block():
     assert any("a = i + 1" in s for s in snippets)
 
 
+def test_extract_snippets_span_after_form_feed():
+    # Snippet spans are token line numbers, which a form feed does not move.
+    src = "x = 1\x0c\ndef f(a):\n    b = a\n    c = b\n    return c\n"
+    assert extract_snippets(src) == ["    b = a\n    c = b\n    return c"]
+
+
 def test_extract_snippets_minimum_three_nonblank_lines():
     src = "def tiny(x):\n    return x\n"
     assert extract_snippets(src) == []
@@ -284,6 +290,41 @@ def test_recall_monotone_in_k():
     values = [recall_at_k(a, s, ids, k) for k in range(1, 16)]
     assert values == sorted(values)
     assert values[-1] == 1.0
+
+
+def recall_at_k_by_sorting(anchor_embs, style_embs, pair_ids, k):
+    """``recall_at_k`` as it was before it was vectorized, kept as an oracle."""
+    if len(pair_ids) == 0:
+        raise EmptyHeldout("no held-out pairs")
+    sims = anchor_embs @ style_embs.T
+    hits = 0
+    n = len(pair_ids)
+    for i in range(n):
+        order = sorted(range(n), key=lambda j: (-sims[i, j], pair_ids[j]))
+        if i in order[:k]:
+            hits += 1
+    return hits / n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_recall_equals_sorting_reference_under_ties(seed):
+    rng = np.random.default_rng(seed)
+    n = 24
+    if seed % 2:
+        a = np.round(unit_rows(rng, (n, 4)) * 4) / 4   # rounded: equal cosines
+        s = np.round(unit_rows(rng, (n, 4)) * 4) / 4
+    else:
+        a = rng.integers(-1, 2, (n, 3)).astype(np.float64)   # ties everywhere
+        s = rng.integers(-1, 2, (n, 3)).astype(np.float64)
+    s[[5, 11]] = s[2]                  # duplicated columns
+    a[7] = a[3]
+    ids = [f"p{j:02d}" for j in rng.permutation(n)]   # id order is not column order
+    ids[9] = ids[4]                    # a repeated id falls back to column order
+    sims = a @ s.T
+    ties = np.sum(sims == np.diag(sims)[:, None]) - n
+    assert ties >= 6   # off the diagonal: the duplicated columns at least
+    for k in range(1, n + 1):
+        assert recall_at_k(a, s, ids, k) == recall_at_k_by_sorting(a, s, ids, k)
 
 
 def test_recall_random_embeddings_expectation():

@@ -189,12 +189,14 @@ def test_precompute_idempotent():
 
 def test_precompute_flags_bad_record_without_dropping():
     corp = from_sources([("good", "x = 1"), ("bad", "   "),
-                         ("no_colon", "def f(x)\n    return x\n")])
+                         ("no_colon", "def f(x)\n    return x\n"),
+                         ("superscript", "y = ²\n")])
     out = precompute_styles(corp)
-    assert len(out.records) == 3
-    assert [r.style_vec is None for r in out.records] == [False, True, True]
-    assert sorted(out.manifest.style_errors) == ["bad", "no_colon"]
+    assert len(out.records) == 4
+    assert [r.style_vec is None for r in out.records] == [False, True, True, True]
+    assert sorted(out.manifest.style_errors) == ["bad", "no_colon", "superscript"]
     assert out.manifest.style_errors["no_colon"].startswith("SyntaxUnsupported: line 1")
+    assert out.manifest.style_errors["superscript"].startswith("InvalidCharacter:")
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stylekit.lexer import (
+    InvalidCharacter,
     Token,
     TokenKind,
     UnterminatedString,
@@ -88,6 +89,17 @@ def test_lenient_mode_closes_unterminated_string():
 def test_unknown_character_becomes_punct():
     toks = lex("a ? b")
     assert [t.kind for t in toks if t.text == "?"] == [TokenKind.PUNCT]
+
+
+def test_non_decimal_digit_is_invalid_character():
+    # str.isdigit() accepts "²" but no number literal can start with it.
+    for lenient in (False, True):
+        with pytest.raises(InvalidCharacter) as exc:
+            lex("x = 1\ny = ²", lenient=lenient)
+        assert (exc.value.line, exc.value.char) == (2, "²")
+    with pytest.raises(InvalidCharacter):
+        lex("z = .²")
+    assert texts(lex("x² = ٣")) == ["x²", "=", "٣"]
 
 
 def test_tab_expands_to_four_columns():
@@ -205,6 +217,16 @@ def test_line_profile_counts():
 def test_line_profile_trailing_newline():
     assert line_profile("a=1\n").total_lines == 1
     assert line_profile("").total_lines == 0
+
+
+def test_line_profile_counts_lines_as_tokens_do():
+    # A form feed is a line break to str.splitlines, not to the lexer.
+    source = "a = 1\x0cb = 2\n# note\nc = 3\n"
+    prof = line_profile(source)
+    assert prof.total_lines == 3
+    assert [rec.is_comment_only for rec in prof.lines] == [False, True, False]
+    assert prof.lines[0].raw_length == len("a = 1\x0cb = 2")
+    assert [t.line for t in lex(source) if t.kind is TokenKind.COMMENT] == [2]
 
 
 def test_line_profile_leading_ws_verbatim():

@@ -5,9 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from stylekit import checkpoint
+from stylekit import checkpoint, nn
 from stylekit.lexer import lex
 from stylekit.nn import (
+    ADAM_BLOCK,
     CodeTower,
     DimensionMismatch,
     EmptyTokenStream,
@@ -206,7 +207,116 @@ def test_l2_normalize_backward_matches_finite_difference():
             assert ana[i, j] == pytest.approx(num, abs=1e-5)
 
 
+def test_code_backward_emb_grad_equals_per_row_scatter():
+    rng = np.random.default_rng(11)
+    for dtype in (np.float32, np.float64):
+        tower = CodeTower(seed=4, vocab=12, embed_dim=5, hidden_dim=8, out_dim=6,
+                          dtype=dtype)
+        # ids repeat within rows and across rows
+        ids_batch = [np.array([1, 4, 1, 1, 9]), np.array([4, 4, 2]), np.array([9]),
+                     rng.integers(0, 6, 40), rng.integers(0, 12, 7)]
+        cache = {}
+        tower.forward(ids_batch, cache)
+        dout = rng.standard_normal((5, 6)).astype(dtype)
+        grads = tower.backward(cache, dout)
+        # the per-row loop the single scatter replaced
+        p = tower.params
+        dz1 = (dout @ p["w2"]) * (cache["z1"] > 0)
+        dpooled = dz1 @ p["w1"]
+        expected = np.zeros_like(p["emb"])
+        for row, ids in enumerate(ids_batch):
+            np.add.at(expected, ids, dpooled[row] / len(ids))
+        assert grads["emb"].dtype == expected.dtype
+        assert grads["emb"].tobytes() == expected.tobytes()
+
+
 # -- adam -----------------------------------------------------------------------
+
+
+def adam_step_dense(params, grads, state, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """``adam_step`` as it was before it was blocked, kept as an oracle."""
+    for name in params:
+        if name not in grads:
+            raise ShapeMismatch(f"missing gradient for {name!r}")
+        if grads[name].shape != params[name].shape:
+            raise ShapeMismatch(
+                f"gradient {name!r}: {grads[name].shape} vs {params[name].shape}"
+            )
+        if not np.all(np.isfinite(grads[name])):
+            raise NonFiniteGradient(name)
+    state["t"] += 1
+    t = state["t"]
+    for name, p in params.items():
+        g = grads[name].astype(p.dtype, copy=False)
+        m = state["m"][name]
+        v = state["v"][name]
+        m *= beta1
+        m += (1 - beta1) * g
+        v *= beta2
+        v += (1 - beta2) * np.square(g)
+        m_hat = m / (1 - beta1 ** t)
+        v_hat = v / (1 - beta2 ** t)
+        p -= (lr * m_hat / (np.sqrt(v_hat) + eps)).astype(p.dtype, copy=False)
+    return params
+
+
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_blocked_equals_dense_bit_for_bit(monkeypatch, block, dtype):
+    monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+    rng = np.random.default_rng(block)
+    shapes = {
+        "small": (block // 3 + 1,),           # less than one block
+        "exact": (3, block),                  # an exact multiple of it
+        "ragged": (2 * block + 7,),           # not a multiple
+        "bias": (5,),
+    }
+    blocked = {k: rng.standard_normal(sh).astype(dtype) for k, sh in shapes.items()}
+    dense = {k: v.copy() for k, v in blocked.items()}
+    st_blocked, st_dense = new_adam_state(blocked), new_adam_state(dense)
+    for step in range(12):
+        scale = 10.0 ** rng.integers(-6, 3)
+        grads = {k: (rng.standard_normal(sh) * scale).astype(dtype)
+                 for k, sh in shapes.items()}
+        grads["bias"][step % 5] = 0.0
+        adam_step(blocked, grads, st_blocked, lr=3e-3)
+        adam_step_dense(dense, grads, st_dense, lr=3e-3)
+    assert st_blocked["t"] == st_dense["t"] == 12
+    for name in shapes:
+        assert blocked[name].dtype == dtype
+        assert np.array_equal(blocked[name], dense[name])
+        assert np.array_equal(st_blocked["m"][name], st_dense["m"][name])
+        assert np.array_equal(st_blocked["v"][name], st_dense["v"][name])
+
+
+def test_adam_non_finite_gradient_changes_nothing():
+    rng = np.random.default_rng(12)
+    params = {"a": rng.standard_normal(300).astype(np.float32),
+              "b": rng.standard_normal((4, 5)).astype(np.float32)}
+    state = new_adam_state(params)
+    for _ in range(2):
+        adam_step(params, {k: rng.standard_normal(v.shape).astype(np.float32)
+                           for k, v in params.items()}, state)
+    before = ({k: v.copy() for k, v in params.items()},
+              {k: v.copy() for k, v in state["m"].items()},
+              {k: v.copy() for k, v in state["v"].items()})
+    grads = {"a": np.ones(300, dtype=np.float32), "b": np.ones((4, 5), dtype=np.float32)}
+    grads["b"][3, 1] = np.inf       # the last tensor: "a" would be updated first
+    with pytest.raises(NonFiniteGradient):
+        adam_step(params, grads, state)
+    assert state["t"] == 2
+    for now, then in zip((params, state["m"], state["v"]), before):
+        assert all(np.array_equal(now[k], then[k]) for k in then)
+
+
+def test_adam_rejects_non_contiguous_tensor():
+    base = np.ones((4, 6), dtype=np.float32)
+    params = {"w": base[:, ::2]}     # a strided view: a flat reshape would copy
+    state = new_adam_state(params)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        adam_step(params, {"w": np.ones((4, 3), dtype=np.float32)}, state)
+    assert state["t"] == 0
+    assert np.all(base == 1)
 
 
 def test_adam_zero_gradient_keeps_params():
