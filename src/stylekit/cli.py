@@ -39,7 +39,7 @@ def _read(path: str) -> str:
     p = Path(path)
     if not p.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    return p.read_text(encoding="utf-8")
+    return p.read_text(encoding="utf-8-sig")
 
 
 def _load_config(path: str | None) -> dict[str, str]:

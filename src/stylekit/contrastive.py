@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import analyze, normalize
-from .lexer import lex, split_lines
+from .lexer import lex
 from .nn import (
     CodeTower,
     EncoderModel,
@@ -59,7 +59,6 @@ class ContrastivePair:
     file_id: str
     anchor: str       # whole-file source
     positive: str     # style-identical sub-snippet of the same file
-    author_id: str | None = None
 
 
 @dataclass
@@ -84,7 +83,7 @@ def extract_snippets(source: str) -> list[str]:
     of at least MIN_SNIPPET_LINES non-blank lines, in line order."""
     doc = SourceDoc.of(source, lenient=True)
     spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.module)]
-    lines = split_lines(doc.text)
+    lines = doc.lines
     profile = doc.profile
     run_start = None
     for idx, rec in enumerate(profile.lines, start=1):
@@ -151,7 +150,7 @@ def pairs_to_jsonl(pairs: list[ContrastivePair], path: str | Path) -> None:
 
 def pairs_from_jsonl(path: str | Path) -> list[ContrastivePair]:
     pairs = []
-    with Path(path).open("r", encoding="utf-8") as fh:
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -262,10 +261,7 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     # the expensive analysis happens once per anchor and positive, not per epoch
     distinct_ids, slot = _anchor_ids(code, pairs)
     anchor_ids = [distinct_ids[j] for j in slot]
-    style_vecs = np.stack([
-        np.asarray(normalize(analyze(p.positive)).values, dtype=np.float32)
-        for p in pairs
-    ])
+    style_vecs = _positive_styles(pairs)
 
     opt_style = new_adam_state(style.params)
     opt_code = new_adam_state(code.params)
@@ -319,14 +315,21 @@ def _anchor_ids(code: CodeTower, pairs: list[ContrastivePair]):
     return [code.bucket_ids(lex(anchor, lenient=True)) for anchor in slots], slot
 
 
+def _positive_styles(pairs: list[ContrastivePair]) -> np.ndarray:
+    """Normalized style vector of each positive, one row per pair, analysed
+    leniently as the anchors are lexed: one unparseable snippet must not
+    abort a run, and wherever strict analysis succeeds it gives the same."""
+    return np.stack([
+        np.asarray(normalize(analyze(p.positive, lenient=True)).values, dtype=np.float32)
+        for p in pairs
+    ])
+
+
 def embed_pairs(model: EncoderModel, pairs: list[ContrastivePair]):
     """L2-normalized (code-anchor, style-positive) embeddings for pairs."""
     distinct_ids, slot = _anchor_ids(model.code, pairs)
     anchors = np.stack([model.code.forward([ids])[0] for ids in distinct_ids])[slot]
-    styles = model.style.forward(np.stack([
-        np.asarray(normalize(analyze(p.positive)).values, dtype=np.float32)
-        for p in pairs
-    ]))
+    styles = model.style.forward(_positive_styles(pairs))
     return l2_normalize(anchors.astype(np.float64)), l2_normalize(styles.astype(np.float64))
 
 

@@ -89,10 +89,10 @@ def _iter_input_lines(paths):
         if path.is_dir():
             for src in sorted(path.rglob("*.py")):
                 line_no += 1
-                text = src.read_text(encoding="utf-8")
+                text = src.read_text(encoding="utf-8-sig")
                 yield line_no, {"id": src.stem, "code1": text, "code2": text}
         elif path.suffix == ".jsonl":
-            with path.open("r", encoding="utf-8") as fh:
+            with path.open("r", encoding="utf-8-sig") as fh:
                 for raw in fh:
                     line_no += 1
                     if not raw.strip():
@@ -100,7 +100,7 @@ def _iter_input_lines(paths):
                     yield line_no, raw
         else:
             line_no += 1
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")
             yield line_no, {"id": path.stem, "code1": text, "code2": text}
 
 
@@ -110,8 +110,9 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
 
     Records whose token count exceeds ``max_tokens`` on either side are
     dropped, as are exact duplicates of ``code2`` (after trailing
-    whitespace is stripped, first occurrence wins). Malformed lines raise
-    unless ``lenient`` is set, in which case they are counted and skipped.
+    whitespace is stripped, first occurrence wins). Malformed lines, and
+    records the lexer rejects, raise :class:`MalformedRecord` unless
+    ``lenient`` is set, in which case they are counted and skipped.
     The manifest reconciles: kept + dropped = input lines.
     """
     records: list[CorpusRecord] = []
@@ -142,12 +143,16 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
             auto_id += 1
             if rec_id in seen_ids:
                 raise MalformedRecord(line_no, f"duplicate id {rec_id!r}")
+            try:
+                too_long = max(token_count(code1), token_count(code2)) > max_tokens
+            except LexError as exc:
+                raise MalformedRecord(line_no, f"{type(exc).__name__}: {exc}") from exc
         except MalformedRecord:
             if lenient:
                 counts["dropped_malformed"] += 1
                 continue
             raise
-        if max(token_count(code1), token_count(code2)) > max_tokens:
+        if too_long:
             counts["dropped_len"] += 1
             continue
         key = _dedup_key(code2)
@@ -235,7 +240,7 @@ def save_jsonl(corpus: CorpusFile, path: str | Path) -> None:
 def load_jsonl(path: str | Path) -> CorpusFile:
     path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue

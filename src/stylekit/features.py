@@ -26,10 +26,13 @@ Definitions that the one-line feature names leave open are pinned here:
   24 lines, first 64 display columns, 1 where a non-whitespace character
   sits) to its density.
 
-``analyze`` reads one :class:`~stylekit.syntax.SourceDoc` per source, so
-all three feature groups share a single lex and parse. The steps that are
-always lenient (identifiers, line profile, module pseudo-function) read a
-strict doc too: a strict lex or parse that succeeds equals the lenient one.
+``analyze`` reads one :class:`~stylekit.syntax.SourceDoc` per source, and
+each feature group takes that doc, so all three share a single lex, line
+split and parse. Layout reads comment lines from the line profile and
+``type_hint_ratio`` from the function records, so a ``def`` header that
+lenient parsing skips counts in neither. Identifiers, the line profile and
+the module pseudo-function read the doc in its own mode, strict included:
+a strict lex or parse that succeeds equals the lenient one.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import string
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import LineProfile, Token, TokenKind, normalize_newlines, split_lines
+from .lexer import Token, TokenKind, bracket_depths, normalize_newlines, split_lines
 from .syntax import (
     FunctionInfo,
     Node,
@@ -191,25 +194,10 @@ def _adjacent_ok(tokens: list[Token], i: int) -> bool:
     return True
 
 
-def _depth_profile(tokens: list[Token]) -> list[int]:
-    depths = []
-    depth = 0
-    for tok in tokens:
-        if tok.kind is TokenKind.PUNCT and tok.text in "([{":
-            depths.append(depth)
-            depth += 1
-        elif tok.kind is TokenKind.PUNCT and tok.text in ")]}":
-            depth = max(0, depth - 1)
-            depths.append(depth)
-        else:
-            depths.append(depth)
-    return depths
-
-
 def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
     toks = stmt.tokens
     names: list[str] = []
-    depths = _depth_profile(toks)
+    depths = bracket_depths(toks)
 
     # walrus targets at any depth
     for i, tok in enumerate(toks[:-1]):
@@ -285,7 +273,7 @@ def _walk_identifiers(node: Node, names: list[str]) -> None:
                     names.append(toks[i].text)
                 if child.kind == "def":
                     try:
-                        _, params, _ = _def_name_and_params(header, lenient=True)
+                        _, params, _ = _def_name_and_params(header)
                     except Exception:
                         params = ()
                     names.extend(p.name for p in params)
@@ -400,14 +388,9 @@ def space_pattern(source: str) -> float:
     return occupied / (SPACE_PATTERN_ROWS * SPACE_PATTERN_COLS)
 
 
-def layout_features(profile: LineProfile, tokens: list[Token],
-                    source: str = "") -> list[float]:
-    """The 9 spacing/layout features, in registry order.
-
-    ``source`` backs the space-before-operator check and the space
-    pattern; without it those two default to zero. ``analyze`` always
-    passes it.
-    """
+def layout_features(doc: SourceDoc) -> list[float]:
+    """The 9 spacing/layout features, in registry order."""
+    profile = doc.profile
     lines = profile.lines
     total = profile.total_lines
     nonblank = [rec for rec in lines if not rec.is_blank]
@@ -420,44 +403,24 @@ def layout_features(profile: LineProfile, tokens: list[Token],
     levels = [rec.indent_columns / 4 for rec in nonblank]
     indent_avg = fmean(levels) if levels else 0.0
 
-    raw_lines = split_lines(normalize_newlines(source)) if source else []
     spaced = 0
     binary = 0
-    for tok in iter_binary_operators(tokens):
+    for tok in iter_binary_operators(doc.tokens):
         binary += 1
-        if tok.line - 1 < len(raw_lines):
-            if _char_before(raw_lines[tok.line - 1], tok.col) == " ":
-                spaced += 1
+        if _char_before(doc.lines[tok.line - 1], tok.col) == " ":
+            spaced += 1
     space_before = spaced / binary if binary else 0.0
 
-    comment_lines = {t.line for t in tokens if t.kind is TokenKind.COMMENT}
     comment_ratio = (
-        sum(1 for i, rec in enumerate(lines, start=1)
-            if not rec.is_blank and i in comment_lines) / len(nonblank)
-        if nonblank else 0.0
+        sum(1 for rec in nonblank if rec.is_comment_only or rec.has_inline_comment)
+        / len(nonblank) if nonblank else 0.0
     )
 
-    defs = arrows = 0
-    stmt_start = True
-    saw_def = False
-    for tok, depth in zip(tokens, _depth_profile(tokens)):
-        if tok.kind is TokenKind.NEWLINE:
-            stmt_start = True
-            saw_def = False
-            continue
-        if tok.is_synthetic():
-            continue
-        if tok.kind is TokenKind.KEYWORD and tok.text == "def" and stmt_start:
-            defs += 1
-            saw_def = True
-        elif saw_def and tok.kind is TokenKind.OPERATOR and tok.text == "->" and depth == 0:
-            arrows += 1
-            saw_def = False
-        if tok.kind is not TokenKind.COMMENT and not (
-            tok.kind is TokenKind.KEYWORD and tok.text == "async"
-        ):
-            stmt_start = False
-    hint_ratio = arrows / defs if defs else 0.0
+    functions = doc.functions
+    hint_ratio = (
+        sum(1 for rec in functions if rec.has_return_annotation) / len(functions)
+        if functions else 0.0
+    )
 
     indented = [rec for rec in nonblank if rec.indent_columns > 0]
     if indented:
@@ -477,23 +440,19 @@ def layout_features(profile: LineProfile, tokens: list[Token],
 
     return [
         blank_ratio, avg_len, var_len, indent_avg, space_before,
-        comment_ratio, hint_ratio, indent_consistency,
-        space_pattern(source) if source else 0.0,
+        comment_ratio, hint_ratio, indent_consistency, space_pattern(doc.text),
     ]
 
 
-def structural_features(functions: list[FunctionInfo], source: str) -> list[float]:
+def structural_features(doc: SourceDoc) -> list[float]:
     """The 11 structural features, in registry order.
 
     Each count is a mean over functions; a file without functions is
     measured as one whole-file pseudo-function. ``exception_score``,
     ``redundancy_ratio`` and ``annotation_ratio`` pool over the file.
     """
-    return _structural_features(functions, SourceDoc.of(source, lenient=True))
-
-
-def _structural_features(functions: list[FunctionInfo], doc: SourceDoc) -> list[float]:
     profile = doc.profile
+    functions = doc.functions
     if not functions:
         functions = [_pseudo_function(doc.module, profile.total_lines)]
 
@@ -509,7 +468,7 @@ def _structural_features(functions: list[FunctionInfo], doc: SourceDoc) -> list[
     specific = sum(1 for c in clauses if c.value == "Specific")
 
     code_lines = []
-    for rec, text in zip(profile.lines, split_lines(doc.text)):
+    for rec, text in zip(profile.lines, doc.lines):
         if rec.is_blank or rec.is_comment_only:
             continue
         code_lines.append(" ".join(text.split()))
@@ -549,13 +508,12 @@ def analyze_doc(doc: SourceDoc) -> StyleVectorRaw:
     """``analyze`` of an already built doc, in the doc's mode."""
     if not doc.text.strip():
         raise EmptySource("source is empty after stripping whitespace")
-    functions = doc.functions
     identifiers = _identifiers(doc)
     warnings = () if identifiers else ("empty-identifier-set",)
     values = (
         naming_features(identifiers, doc.text)
-        + layout_features(doc.profile, doc.tokens, doc.text)
-        + _structural_features(functions, doc)
+        + layout_features(doc)
+        + structural_features(doc)
     )
     return StyleVectorRaw(values=tuple(values), warnings=warnings)
 

@@ -154,6 +154,7 @@ class _Scanner:
         self.lenient = lenient
         self.tokens: list[Token] = []
         self.indents = [0]
+        # Clamped at 0, not ``bracket_depths``: it decides where logical lines end.
         self.depth = 0               # open-bracket depth
         self.line_has_token = False  # any token on the current logical line
         self.line = 1
@@ -309,6 +310,24 @@ _DISPATCH = {
 }
 
 
+def bracket_depths(tokens: list[Token]) -> list[int]:
+    """Bracket depth of each token, counted from the first one. An opener
+    sits at the depth outside it, as does its closer; a stray closer takes
+    the depth below zero."""
+    depths = []
+    depth = 0
+    for tok in tokens:
+        if tok.kind is TokenKind.PUNCT:
+            if tok.text in _OPENERS:
+                depths.append(depth)
+                depth += 1
+                continue
+            if tok.text in _CLOSERS:
+                depth -= 1
+        depths.append(depth)
+    return depths
+
+
 def lex(source: str, lenient: bool = False) -> list[Token]:
     """Tokenize source text deterministically.
 
@@ -348,12 +367,11 @@ def line_profile(source: str) -> LineProfile:
     lenient token pass, so a ``#`` inside a string never counts.
     """
     source = normalize_newlines(source)
-    return profile_lines(source, lex(source, lenient=True))
+    return profile_lines(split_lines(source), lex(source, lenient=True))
 
 
-def profile_lines(source: str, tokens: list[Token]) -> LineProfile:
-    """The line profile of newline-normalized ``source`` from its tokens."""
-    raw_lines = split_lines(source)
+def profile_lines(raw_lines: list[str], tokens: list[Token]) -> LineProfile:
+    """The line profile of a text's :func:`split_lines` from its tokens."""
     comment_lines: set[int] = set()
     code_lines: set[int] = set()
     for tok in tokens:
@@ -384,7 +402,7 @@ def render(tokens: list[Token]) -> str:
     """
     out: list[str] = []
     cur_line, cur_col = 1, 0
-    depth = 0
+    depth = 0  # the scanner's clamped count, so that joins land where it ends lines
     newline_seen = True
     for tok in tokens:
         if tok.kind is TokenKind.NEWLINE:

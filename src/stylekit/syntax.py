@@ -7,11 +7,11 @@ for structural style features (``def``, ``class``, branches, loops,
 unusual constructs degrade gracefully instead of failing.
 
 A :class:`SourceDoc` is one source analysed once, for every consumer: a
-single lex, with the line profile, block tree and function records built
-from its tokens. One doc serves both modes. ``lenient`` only changes how
-the lexer treats an unterminated string and how the parser treats a header
-with no colon or a malformed ``def`` header, so a strict lex or parse that
-succeeds equals the lenient one.
+single lex and one split into lines, with the line profile, block tree
+and function records built from them. One doc serves both modes.
+``lenient`` only changes how the lexer treats an unterminated string and
+how the parser treats a header with no colon or a malformed ``def``
+header, so a strict lex or parse that succeeds equals the lenient one.
 """
 
 from __future__ import annotations
@@ -20,15 +20,13 @@ import enum
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .lexer import LineProfile, Token, TokenKind, lex, normalize_newlines, profile_lines
+from .lexer import (_CLOSERS, _OPENERS, LineProfile, Token, TokenKind, bracket_depths,
+                    lex, normalize_newlines, profile_lines, split_lines)
 
 _BLOCK_KEYWORDS = frozenset((
     "def", "class", "if", "elif", "else", "for", "while", "with",
     "try", "except", "finally",
 ))
-
-_OPEN = {"(": 1, "[": 1, "{": 1}
-_CLOSE = {")": 1, "]": 1, "}": 1}
 
 
 class ExceptKind(enum.Enum):
@@ -104,15 +102,6 @@ class Node:
         return lo, hi
 
 
-def _depth_delta(tok: Token) -> int:
-    if tok.kind is TokenKind.PUNCT:
-        if tok.text in _OPEN:
-            return 1
-        if tok.text in _CLOSE:
-            return -1
-    return 0
-
-
 def _logical_lines(tokens: list[Token]) -> list[tuple[int, Stmt]]:
     """Group a token stream into (indent_level, statement) pairs.
 
@@ -151,9 +140,7 @@ def _make_stmt(tokens: list[Token]) -> Stmt:
 def _split_on(tokens: list[Token], text: str) -> list[list[Token]]:
     """Split at depth-0 occurrences of a Punct token; drops the separators."""
     parts: list[list[Token]] = [[]]
-    depth = 0
-    for tok in tokens:
-        depth += _depth_delta(tok)
+    for tok, depth in zip(tokens, bracket_depths(tokens)):
         if depth == 0 and tok.kind is TokenKind.PUNCT and tok.text == text:
             parts.append([])
         else:
@@ -174,10 +161,8 @@ def _compound_kind(stmt: Stmt) -> str | None:
 
 
 def _last_top_level_colon(tokens: list[Token]) -> int | None:
-    depth = 0
     found = None
-    for i, tok in enumerate(tokens):
-        depth += _depth_delta(tok)
+    for i, (tok, depth) in enumerate(zip(tokens, bracket_depths(tokens))):
         if depth == 0 and tok.kind is TokenKind.PUNCT and tok.text == ":":
             found = i
     return found
@@ -186,8 +171,8 @@ def _last_top_level_colon(tokens: list[Token]) -> int | None:
 @dataclass(frozen=True)
 class SourceDoc:
     """Newline-normalized ``text`` and its single lex; build with :meth:`of`.
-    The profile, block tree and function records are built from ``tokens``
-    on first use and kept; a strict doc's parse may raise SyntaxUnsupported."""
+    The lines, profile, block tree and function records are built on first
+    use and kept; a strict doc's parse may raise SyntaxUnsupported."""
     text: str
     lenient: bool
     tokens: list[Token]
@@ -202,8 +187,12 @@ class SourceDoc:
         return [t.text for t in self.tokens if not t.is_synthetic()]
 
     @cached_property
+    def lines(self) -> list[str]:  # physical lines, split at line feeds only
+        return split_lines(self.text)
+
+    @cached_property
     def profile(self) -> LineProfile:
-        return profile_lines(self.text, self.tokens)
+        return profile_lines(self.lines, self.tokens)
 
     @cached_property
     def module(self) -> Node:
@@ -262,7 +251,7 @@ def _parse_one(stmts, idx, lenient):
 # -- header extraction ------------------------------------------------------
 
 
-def _def_name_and_params(header: Stmt, lenient: bool):
+def _def_name_and_params(header: Stmt):
     toks = header.tokens
     i = 0
     if toks[i].text == "async":
@@ -275,13 +264,8 @@ def _def_name_and_params(header: Stmt, lenient: bool):
     i += 1
     if i >= len(toks) or toks[i].text != "(":
         raise SyntaxUnsupported(header.line_start, "def header")
-    depth = 0
-    close = None
-    for j in range(i, len(toks)):
-        depth += _depth_delta(toks[j])
-        if depth == 0:
-            close = j
-            break
+    depths = bracket_depths(toks)
+    close = next((j for j in range(i + 1, len(toks)) if depths[j] == 0), None)
     if close is None:
         raise SyntaxUnsupported(header.line_start, "def header")
     params = _parse_params(toks[i + 1 : close])
@@ -303,9 +287,7 @@ def _parse_params(tokens: list[Token]) -> tuple[Param, ...]:
         if name_tok is None:
             continue
         has_annotation = False
-        depth = 0
-        for tok in toks:
-            depth += _depth_delta(tok)
+        for tok, depth in zip(toks, bracket_depths(toks)):
             if depth == 0 and tok.kind is TokenKind.OPERATOR and tok.text == "=":
                 break
             if depth == 0 and tok.kind is TokenKind.PUNCT and tok.text == ":":
@@ -362,11 +344,12 @@ def _name_paren_index(tokens: list[Token]) -> int | None:
 def _call_depth(tokens: list[Token]) -> int:
     """Nesting depth of call expressions within one statement."""
     best = 0
+    # A stack, not ``bracket_depths``: the depth counts open call parens only.
     stack: list[bool] = []  # True for call-parens
     prev = None
     header_paren = _name_paren_index(tokens)
     for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCT and tok.text in _OPEN:
+        if tok.kind is TokenKind.PUNCT and tok.text in _OPENERS:
             is_call = (
                 tok.text == "("
                 and i != header_paren
@@ -378,7 +361,7 @@ def _call_depth(tokens: list[Token]) -> int:
             )
             stack.append(is_call)
             best = max(best, sum(stack))
-        elif tok.kind is TokenKind.PUNCT and tok.text in _CLOSE:
+        elif tok.kind is TokenKind.PUNCT and tok.text in _CLOSERS:
             if stack:
                 stack.pop()
         prev = tok
@@ -428,7 +411,7 @@ def _collect_defs(node: Node, scope_is_class: bool, out: list, lenient: bool) ->
             continue
         if child.kind == "def":
             try:
-                name, params, has_ret = _def_name_and_params(child.header, lenient)
+                name, params, has_ret = _def_name_and_params(child.header)
             except SyntaxUnsupported:
                 if not lenient:
                     raise

@@ -152,6 +152,37 @@ def test_invalid_character_is_input_error(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "InvalidCharacter"
 
 
+def test_analyze_reads_a_bom_prefixed_file(files, tmp_path, capsys):
+    a, _ = files
+    bom = tmp_path / "bom.py"
+    bom.write_text("\ufeff" + SRC, encoding="utf-8")
+    _, plain, _ = run(capsys, "analyze", a, "--json")
+    code, out, _ = run(capsys, "analyze", bom, "--json")
+    assert code == 0
+    assert out == plain
+    assert json.loads(out)["raw"]["name_length"] > 0
+
+
+def test_corpus_lenient_drops_a_record_the_lexer_rejects(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    path.write_text(
+        json.dumps({"id": "a", "code1": "x = 1", "code2": "x = 1"}) + "\n"
+        + json.dumps({"id": "b", "code1": "y = ²", "code2": "y = 2"}) + "\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "out.jsonl"
+    code, out, _ = run(capsys, "corpus", path, "--lenient", "--out", out_path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    c = doc["counts"]
+    assert (c["input"], c["kept"], c["dropped_malformed"]) == (2, 1, 1)
+    assert c["kept"] + c["dropped_dupe"] + c["dropped_len"] + c["dropped_malformed"] == c["input"]
+    assert doc["records"] == 1 and out_path.exists()
+    code, out, err = run(capsys, "corpus", path, "--json")
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "MalformedRecord"
+
+
 def test_corpus_roundtrip(tmp_path, capsys):
     src_dir = tmp_path / "srcs"
     src_dir.mkdir()

@@ -103,6 +103,8 @@ def test_pairs_jsonl_round_trip(tmp_path):
     path = tmp_path / "pairs.jsonl"
     pairs_to_jsonl(pairs, path)
     assert pairs_from_jsonl(path) == pairs
+    path.write_text("\ufeff" + path.read_text(encoding="utf-8"), encoding="utf-8")
+    assert pairs_from_jsonl(path) == pairs
 
 
 # -- info_nce -------------------------------------------------------------------
@@ -254,6 +256,21 @@ def test_train_batches_avoid_same_file():
     for batch in _stratified_batches(pairs, 4, rng):
         files = [pairs[i].file_id for i in batch]
         assert len(files) == len(set(files))
+
+
+def test_train_and_embed_survive_an_unparseable_positive():
+    from stylekit.features import analyze
+    from stylekit.syntax import SyntaxUnsupported
+
+    colonless = "def g(x)\n    y = x\n    return y\n"
+    with pytest.raises(SyntaxUnsupported):
+        analyze(colonless)
+    bad = ContrastivePair(id="bad:0", file_id="bad", anchor=colonless, positive=colonless)
+    pairs = tiny_pairs() + [bad]
+    model, logs = train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert len(logs) == 1 and math.isfinite(logs[0].mean_loss)
+    anchors, styles = embed_pairs(model, pairs[-4:])
+    assert anchors.shape == styles.shape and np.all(np.isfinite(styles))
 
 
 def test_training_does_not_change_analyzer_outputs():

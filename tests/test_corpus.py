@@ -89,10 +89,38 @@ def test_malformed_lenient_counted(tmp_path):
         'not json at all\n'
         + json.dumps(record_doc(1, "a = 1")) + "\n"
         + '{"id": "x"}\n'
+        + json.dumps(record_doc(3, "b = 2", code1="y = ²")) + "\n"
     )
     corp = ingest(path, lenient=True)
     assert len(corp.records) == 1
-    assert corp.manifest.counts["dropped_malformed"] == 2
+    assert corp.manifest.counts["dropped_malformed"] == 3
+
+
+def test_record_the_lexer_rejects_is_malformed_in_strict_mode(tmp_path):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [record_doc(0, "a = 1"), record_doc(1, "b = 2", code1="y = ²")])
+    with pytest.raises(MalformedRecord) as info:
+        ingest(path)
+    assert info.value.line == 2
+    assert info.value.reason.startswith("InvalidCharacter: ")
+
+
+def test_bom_prefixed_inputs_lose_only_the_bom(tmp_path):
+    path = tmp_path / "in.jsonl"
+    path.write_text("\ufeff" + json.dumps(record_doc(0, "a = 1")) + "\n"
+                    + json.dumps(record_doc(1, "b = 2")) + "\n", encoding="utf-8")
+    corp = ingest(path)
+    assert [(r.id, r.code2) for r in corp.records] == [("r0", "a = 1"), ("r1", "b = 2")]
+
+    saved = tmp_path / "saved.jsonl"
+    save_jsonl(corp, saved)
+    saved.write_text("\ufeff" + saved.read_text(encoding="utf-8"), encoding="utf-8")
+    assert [r.id for r in load_jsonl(saved).records] == ["r0", "r1"]
+
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("\ufeffa = 1\n", encoding="utf-8")
+    assert [r.code2 for r in ingest(tmp_path / "pkg").records] == ["a = 1\n"]
+    assert [r.code2 for r in ingest(tmp_path / "pkg" / "a.py").records] == ["a = 1\n"]
 
 
 def test_manifest_reconciles(tmp_path):

@@ -29,7 +29,7 @@ from stylekit.features import (
     to_json,
     to_json_document,
 )
-from stylekit.lexer import lex, line_profile
+from stylekit.syntax import SourceDoc, parse_functions
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
 GOLDEN_DOCS = [
@@ -101,7 +101,7 @@ def test_naming_features_digit_example():
 
 def test_layout_hand_example():
     src = "def f(a, b):\n    return a + b"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     assert named["blank_line_count"] == 0.0
     assert named["indentation_level_avg"] == 0.5
@@ -110,7 +110,7 @@ def test_layout_hand_example():
 
 def test_layout_all_blank_source():
     src = "\n\n  \n"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     assert named["blank_line_count"] == 1.0
     assert named["line_length_avg"] == 0.0
@@ -119,7 +119,7 @@ def test_layout_all_blank_source():
 def test_indentation_consistency_modal_unit():
     # 2-space file with one 3-space line: (k-1)/k over k indented lines
     src = "def f():\n  x = 1\n  if x:\n   y = 2\n  return x"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     assert named["indentation_consistency"] == pytest.approx(3 / 4)
 
@@ -128,14 +128,14 @@ def test_indentation_consistency_mixed_ws_kind():
     # a line indented with a tab next to space lines: tab expands to 4 so
     # the column matches, and each line uses a single whitespace kind
     src = "def f():\n    a = 1\n\tb = 2"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     assert named["indentation_consistency"] == 1.0
 
 
 def test_space_before_operator_unary_excluded():
     src = "x = -1\ny = x - 1"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     # counted: both =, the binary -; the unary minus is not an operand op
     assert named["space_before_operator"] == 1.0
@@ -143,16 +143,26 @@ def test_space_before_operator_unary_excluded():
 
 def test_space_before_operator_no_space():
     src = "x=1"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     assert named["space_before_operator"] == 0.0
 
 
 def test_type_hint_ratio():
     src = "def a() -> int:\n    return 1\n\ndef b():\n    return 2"
-    feats = layout_features(line_profile(src), lex(src), src)
+    feats = layout_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
     assert named["type_hint_ratio"] == 0.5
+    src = "async def f(x) -> int:\n    return x\n# def g() -> None\n"
+    assert analyze(src)["type_hint_ratio"] == 1.0
+
+
+def test_type_hint_ratio_reads_the_parsed_defs():
+    # Lenient parsing skips a def header with no colon, so it counts in
+    # neither side of the ratio, as in parse_functions.
+    src = "def f(x) -> int\n    return x\n"
+    assert parse_functions(src, lenient=True) == []
+    assert analyze(src, lenient=True)["type_hint_ratio"] == 0.0
 
 
 def test_space_pattern_examples():
@@ -168,8 +178,7 @@ def test_space_pattern_examples():
 
 def test_structural_hand_example():
     src = "def f(a, b):\n    return a + b"
-    from stylekit.syntax import parse_functions
-    feats = structural_features(parse_functions(src), src)
+    feats = structural_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[STRUCTURAL_SLICE], feats))
     assert named["arg_count"] == 2.0
     assert named["return_count"] == 1.0
@@ -178,31 +187,29 @@ def test_structural_hand_example():
 
 
 def test_exception_score_examples():
-    from stylekit.syntax import parse_functions
     specific = "def f():\n    try:\n        pass\n    except ValueError:\n        pass"
-    feats = structural_features(parse_functions(specific), specific)
+    feats = structural_features(SourceDoc.of(specific))
     assert dict(zip(REGISTRY[STRUCTURAL_SLICE], feats))["exception_score"] == 1.0
     bare = "def f():\n    try:\n        pass\n    except:\n        pass"
-    feats = structural_features(parse_functions(bare), bare)
+    feats = structural_features(SourceDoc.of(bare))
     assert dict(zip(REGISTRY[STRUCTURAL_SLICE], feats))["exception_score"] == 0.0
 
 
 def test_redundancy_hand_example():
-    feats = structural_features([], "x = 1\nx = 1")
+    feats = structural_features(SourceDoc.of("x = 1\nx = 1"))
     named = dict(zip(REGISTRY[STRUCTURAL_SLICE], feats))
     assert named["redundancy_ratio"] == 0.5
 
 
 def test_redundancy_collapses_internal_whitespace():
-    feats = structural_features([], "x  =  1\nx = 1")
+    feats = structural_features(SourceDoc.of("x  =  1\nx = 1"))
     named = dict(zip(REGISTRY[STRUCTURAL_SLICE], feats))
     assert named["redundancy_ratio"] == 0.5
 
 
 def test_self_excluded_from_arg_count():
     src = "class C:\n    def m(self, a, b):\n        return a\n"
-    from stylekit.syntax import parse_functions
-    feats = structural_features(parse_functions(src), src)
+    feats = structural_features(SourceDoc.of(src))
     named = dict(zip(REGISTRY[STRUCTURAL_SLICE], feats))
     assert named["arg_count"] == 2.0
 
@@ -320,6 +327,14 @@ def test_extract_identifiers_sites():
     assert "attr" not in names
     assert "d" not in names
     assert "range" not in names
+
+
+def test_stray_closer_hides_later_targets_as_in_the_parser():
+    # After a stray closer the rest of the statement is below depth 0, so
+    # ``y`` is no top-level target; the parser does not split that line at
+    # the ``;`` either.
+    assert [r.text for r in extract_identifiers("x = 1); y = 2\nz = (3\n")] == ["x", "z"]
+    assert extract_identifiers("a) = 1\n") == []
 
 
 def test_duplicate_identifiers_counted_once():

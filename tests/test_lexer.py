@@ -9,6 +9,7 @@ from stylekit.lexer import (
     Token,
     TokenKind,
     UnterminatedString,
+    bracket_depths,
     indent_columns,
     lex,
     line_profile,
@@ -256,3 +257,17 @@ def test_indent_columns_tab_stops():
     assert indent_columns("  \t") == 4
     assert indent_columns("    \t") == 8
     assert indent_columns("  ") == 2
+
+
+def test_bracket_depths_opener_and_closer_sit_outside():
+    toks = [t for t in lex("f(a[1], {b})") if not t.is_synthetic()]
+    #        f  (  a  [  1  ]  ,  {  b  }  )
+    assert bracket_depths(toks) == [0, 0, 1, 1, 2, 1, 1, 1, 2, 1, 0]
+    toks = lex("s = '(' + ')'  # [\n")  # brackets in strings and comments
+    assert bracket_depths(toks) == [0] * len(toks)
+
+
+def test_bracket_depths_stray_closer_goes_below_zero():
+    toks = [t for t in lex("x = 1); y = (2") if not t.is_synthetic()]
+    #        x  =  1  )   ;   y   =   (   2
+    assert bracket_depths(toks) == [0, 0, 0, -1, -1, -1, -1, -1, 0]
