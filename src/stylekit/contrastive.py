@@ -82,7 +82,7 @@ def extract_snippets(source: str) -> list[str]:
     """Style-identical sub-snippets: def/loop bodies and comment blocks
     of at least MIN_SNIPPET_LINES non-blank lines, in line order."""
     doc = SourceDoc.of(source, lenient=True)
-    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.module)]
+    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.stmts)]
     lines = doc.lines
     profile = doc.profile
     run_start = None

@@ -139,6 +139,8 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
             code2 = doc.get("code2")
             if not code1 or not code2:
                 raise MalformedRecord(line_no, "code1/code2 missing or empty")
+            if not isinstance(code1, str) or not isinstance(code2, str):
+                raise MalformedRecord(line_no, "code1/code2 must be strings")
             rec_id = str(doc.get("id") or f"rec{auto_id:06d}")
             auto_id += 1
             if rec_id in seen_ids:

@@ -48,9 +48,9 @@ from statistics import fmean
 from .lexer import Token, TokenKind, bracket_depths, normalize_newlines, split_lines
 from .syntax import (
     FunctionInfo,
-    Node,
     SourceDoc,
     Stmt,
+    SyntaxUnsupported,
     _def_name_and_params,
     _pseudo_function,
 )
@@ -262,28 +262,6 @@ def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
     return names
 
 
-def _walk_identifiers(node: Node, names: list[str]) -> None:
-    for child in node.children:
-        if isinstance(child, Node):
-            header = child.header
-            if child.kind in ("def", "class") and header is not None:
-                toks = header.tokens
-                i = 1 if toks[0].text in ("def", "class") else 2
-                if i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER:
-                    names.append(toks[i].text)
-                if child.kind == "def":
-                    try:
-                        _, params, _ = _def_name_and_params(header)
-                    except Exception:
-                        params = ()
-                    names.extend(p.name for p in params)
-            elif header is not None:
-                names.extend(_binding_names_in_stmt(header))
-            _walk_identifiers(child, names)
-        else:
-            names.extend(_binding_names_in_stmt(child))
-
-
 def extract_identifiers(source: str) -> list[IdentifierRecord]:
     """Distinct binding-site names in first-appearance order."""
     return _identifiers(SourceDoc.of(source, lenient=True))
@@ -291,7 +269,19 @@ def extract_identifiers(source: str) -> list[IdentifierRecord]:
 
 def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
     names: list[str] = []
-    _walk_identifiers(doc.module, names)
+    for stmt in doc.stmts:
+        if stmt.kind not in ("def", "class"):
+            names.extend(_binding_names_in_stmt(stmt))
+            continue
+        toks = stmt.tokens
+        i = 1 if toks[0].text in ("def", "class") else 2
+        if i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER:
+            names.append(toks[i].text)
+        if stmt.kind == "def":
+            try:
+                names.extend(p.name for p in _def_name_and_params(stmt)[1])
+            except SyntaxUnsupported:
+                pass
     return [classify_identifier(name) for name in dict.fromkeys(names)]
 
 
@@ -454,7 +444,7 @@ def structural_features(doc: SourceDoc) -> list[float]:
     profile = doc.profile
     functions = doc.functions
     if not functions:
-        functions = [_pseudo_function(doc.module, profile.total_lines)]
+        functions = [_pseudo_function(doc.stmts, profile.total_lines)]
 
     def effective_params(rec: FunctionInfo):
         params = list(rec.params)

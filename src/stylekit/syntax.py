@@ -6,9 +6,14 @@ for structural style features (``def``, ``class``, branches, loops,
 ``with``, ``try``). Anything else is carried as an opaque statement, so
 unusual constructs degrade gracefully instead of failing.
 
+The result is one flat list of :class:`Stmt` in source order, not a tree:
+each header knows where its block ends and each statement its enclosing
+header, so every consumer is a loop over the list (or a slice of it) and
+no nesting depth can exhaust the interpreter's stack.
+
 A :class:`SourceDoc` is one source analysed once, for every consumer: a
-single lex and one split into lines, with the line profile, block tree
-and function records built from them. One doc serves both modes.
+single lex and one split into lines, with the line profile, statement
+list and function records built from them. One doc serves both modes.
 ``lenient`` only changes how the lexer treats an unterminated string and
 how the parser treats a header with no colon or a malformed ``def``
 header, so a strict lex or parse that succeeds equals the lenient one.
@@ -71,35 +76,21 @@ class SyntaxUnsupported(Exception):
 
 @dataclass
 class Stmt:
-    """One simple statement: a logical line, or a piece of one after
-    splitting at top-level semicolons / a compound header's colon."""
+    """One statement of a source's flat, source-ordered statement list: a
+    logical line, or a piece of one after splitting at a compound header's
+    colon and at top-level semicolons.
+
+    ``kind`` is a compound header's keyword (``def``, ``if``, ...) and
+    ``None`` for a simple statement. A header's block is
+    ``stmts[i + 1:end]``; a simple statement has ``end == i + 1``.
+    ``parent`` is the index of the enclosing header, -1 at module level.
+    """
     tokens: list[Token]
     line_start: int
     line_end: int
-
-
-@dataclass
-class Node:
-    """A compound statement and its block, or the whole module."""
-    kind: str
-    header: Stmt | None
-    children: list = field(default_factory=list)  # Stmt | Node
-
-    def line_range(self) -> tuple[int, int]:
-        lo, hi = None, None
-        for child in self.children:
-            if isinstance(child, Node):
-                c_lo, c_hi = child.line_range()
-                if c_lo is None:
-                    continue
-                if child.header is not None:
-                    c_lo = min(c_lo, child.header.line_start)
-                    c_hi = max(c_hi, child.header.line_end)
-            else:
-                c_lo, c_hi = child.line_start, child.line_end
-            lo = c_lo if lo is None else min(lo, c_lo)
-            hi = c_hi if hi is None else max(hi, c_hi)
-        return lo, hi
+    kind: str | None = None
+    parent: int = -1
+    end: int = 0
 
 
 def _logical_lines(tokens: list[Token]) -> list[tuple[int, Stmt]]:
@@ -128,13 +119,9 @@ def _logical_lines(tokens: list[Token]) -> list[tuple[int, Stmt]]:
     return out
 
 
-def _make_stmt(tokens: list[Token]) -> Stmt:
+def _make_stmt(tokens: list[Token], kind: str | None = None) -> Stmt:
     last = tokens[-1]
-    return Stmt(
-        tokens=tokens,
-        line_start=tokens[0].line,
-        line_end=last.line + last.text.count("\n"),
-    )
+    return Stmt(tokens, tokens[0].line, last.line + last.text.count("\n"), kind)
 
 
 def _split_on(tokens: list[Token], text: str) -> list[list[Token]]:
@@ -171,8 +158,8 @@ def _last_top_level_colon(tokens: list[Token]) -> int | None:
 @dataclass(frozen=True)
 class SourceDoc:
     """Newline-normalized ``text`` and its single lex; build with :meth:`of`.
-    The lines, profile, block tree and function records are built on first
-    use and kept; a strict doc's parse may raise SyntaxUnsupported."""
+    The lines, profile, statement list and function records are built on
+    first use and kept; a strict doc's parse may raise SyntaxUnsupported."""
     text: str
     lenient: bool
     tokens: list[Token]
@@ -195,57 +182,84 @@ class SourceDoc:
         return profile_lines(self.lines, self.tokens)
 
     @cached_property
-    def module(self) -> Node:
-        stmts = _logical_lines(self.tokens)
-        module = Node(kind="module", header=None)
-        module.children, idx = _parse_block(stmts, 0, -1, self.lenient)
-        # Any residue means the level bookkeeping went sideways; treat the
-        # leftovers as flat statements rather than dropping them.
-        module.children.extend(stmt for _, stmt in stmts[idx:])
-        return module
+    def stmts(self) -> list[Stmt]:
+        return _parse(self.tokens, self.lenient)
 
     @cached_property
     def functions(self) -> list[FunctionInfo]:
         """One record per ``def`` in source order (nested defs included)."""
-        records: list[FunctionInfo] = []
-        _collect_defs(self.module, False, records, self.lenient)
-        return records
+        return _collect_defs(self.stmts, self.lenient)
 
 
-def parse_module(source: str, lenient: bool = False) -> Node:
-    """Parse source into a block tree rooted at a ``module`` node."""
-    return SourceDoc.of(source, lenient).module
+def parse_module(source: str, lenient: bool = False) -> list[Stmt]:
+    """Parse source into its flat statement list, in source order."""
+    return SourceDoc.of(source, lenient).stmts
 
 
-def _parse_block(stmts, idx, parent_level, lenient):
-    children: list = []
-    if idx >= len(stmts) or stmts[idx][0] <= parent_level:
-        return children, idx
-    block_level = stmts[idx][0]
-    while idx < len(stmts) and stmts[idx][0] >= block_level:
-        node_or_stmt, idx = _parse_one(stmts, idx, lenient)
-        children.append(node_or_stmt)
-    return children, idx
+def _parse(tokens: list[Token], lenient: bool) -> list[Stmt]:
+    """Nest logical lines by indent level into a flat statement list.
+
+    A header's block is the run of statements at or deeper than its first
+    statement, if that one is deeper than the header; an inline body is
+    split at top-level semicolons. A statement shallower than the first
+    line ends all nesting: it and every later one stay flat at module level.
+    """
+    lines = _logical_lines(tokens)
+    out: list[Stmt] = []
+    base = lines[0][0] if lines else 0  # the module block's level
+    stack: list[tuple[int, int]] = []  # open blocks: (header index, level)
+    pending = None  # (index, level) of a header whose block may follow
+
+    def emit(stmt: Stmt, parent: int) -> int:
+        stmt.parent, stmt.end = parent, len(out) + 1
+        out.append(stmt)
+        return len(out) - 1
+
+    for n, (level, stmt) in enumerate(lines):
+        if pending is not None and level > pending[1]:
+            stack.append((pending[0], level))
+        pending = None
+        while stack and level < stack[-1][1]:
+            out[stack.pop()[0]].end = len(out)
+        if level < base:
+            # The level bookkeeping went sideways; keep the leftovers as
+            # flat statements rather than dropping them.
+            for _, rest in lines[n:]:
+                emit(rest, -1)
+            return out
+        parent = stack[-1][0] if stack else -1
+        kind = _compound_kind(stmt)
+        colon = None if kind is None else _last_top_level_colon(stmt.tokens)
+        if colon is None:
+            if kind is not None and not lenient:
+                raise SyntaxUnsupported(stmt.line_start, f"{kind} header")
+            emit(stmt, parent)
+            continue
+        head = emit(_make_stmt(stmt.tokens[: colon + 1], kind), parent)
+        inline = stmt.tokens[colon + 1 :]
+        if inline:
+            for part in _split_on(inline, ";"):
+                emit(_make_stmt(part), head)
+            out[head].end = len(out)
+        else:
+            pending = (head, level)
+    for head, _ in stack:
+        out[head].end = len(out)
+    return out
 
 
-def _parse_one(stmts, idx, lenient):
-    level, stmt = stmts[idx]
-    kind = _compound_kind(stmt)
-    if kind is None:
-        return stmt, idx + 1
-    colon = _last_top_level_colon(stmt.tokens)
-    if colon is None:
-        if not lenient:
-            raise SyntaxUnsupported(stmt.line_start, f"{kind} header")
-        return stmt, idx + 1
-    header_tokens = stmt.tokens[: colon + 1]
-    inline = stmt.tokens[colon + 1 :]
-    node = Node(kind=kind, header=_make_stmt(header_tokens))
-    if inline:
-        node.children = [_make_stmt(part) for part in _split_on(inline, ";")]
-        return node, idx + 1
-    node.children, idx = _parse_block(stmts, idx + 1, level, lenient)
-    return node, idx
+def _body_lines(stmts: list[Stmt], head: int) -> tuple[int, int] | None:
+    """Line range of a header's block, from the child holding its first
+    simple statement to its last simple statement; ``None`` when the block
+    holds no simple statement."""
+    body = range(head + 1, stmts[head].end)
+    first = next((i for i in body if stmts[i].kind is None), None)
+    if first is None:
+        return None
+    last = next(i for i in reversed(body) if stmts[i].kind is None)
+    while stmts[first].parent != head:
+        first = stmts[first].parent
+    return stmts[first].line_start, stmts[last].line_end
 
 
 # -- header extraction ------------------------------------------------------
@@ -368,84 +382,80 @@ def _call_depth(tokens: list[Token]) -> int:
     return best
 
 
-def _measure_block(node: Node, stats: _BlockStats) -> None:
-    """Accumulate statement counts, stopping at nested ``def`` boundaries."""
-    for child in node.children:
-        if isinstance(child, Node):
-            if child.kind == "def":
-                continue  # the nested function owns its own statements
-            if child.kind == "if":
-                stats.branch_count += 1
-                stats.control_count += 1
-            elif child.kind == "elif":
-                stats.branch_count += 1
-            elif child.kind in ("for", "while", "with", "try"):
-                stats.control_count += 1
-                if child.kind == "try":
-                    stats.has_try = True
-            elif child.kind == "except":
-                stats.except_clauses.append(_classify_except(child.header))
-            if child.header is not None:
-                stats.max_call_depth = max(
-                    stats.max_call_depth, _call_depth(child.header.tokens)
-                )
-            _measure_block(child, stats)
-        else:
-            first = child.tokens[0]
+def _measure_block(stmts: list[Stmt], lo: int, hi: int) -> _BlockStats:
+    """Statement counts over ``stmts[lo:hi]``, skipping nested ``def`` blocks."""
+    stats = _BlockStats()
+    i = lo
+    while i < hi:
+        stmt = stmts[i]
+        kind = stmt.kind
+        if kind == "def":
+            i = stmt.end  # the nested function owns its own statements
+            continue
+        if kind in ("if", "elif"):
+            stats.branch_count += 1
+        if kind in ("if", "for", "while", "with", "try"):
+            stats.control_count += 1
+        if kind == "try":
+            stats.has_try = True
+        elif kind == "except":
+            stats.except_clauses.append(_classify_except(stmt))
+        elif kind is None:
+            first = stmt.tokens[0]
             if first.kind is TokenKind.KEYWORD and first.text == "return":
                 stats.return_count += 1
-            stats.max_call_depth = max(stats.max_call_depth, _call_depth(child.tokens))
+        stats.max_call_depth = max(stats.max_call_depth, _call_depth(stmt.tokens))
+        i += 1
+    return stats
 
 
-def _first_statement_is_string(node: Node) -> bool:
-    for child in node.children:
-        if isinstance(child, Stmt):
-            return child.tokens[0].kind is TokenKind.STRING
-        return False
-    return False
+def _first_statement_is_string(stmts: list[Stmt], lo: int, hi: int) -> bool:
+    return lo < hi and stmts[lo].tokens[0].kind is TokenKind.STRING  # headers open with a keyword
 
 
-def _collect_defs(node: Node, scope_is_class: bool, out: list, lenient: bool) -> None:
-    for child in node.children:
-        if not isinstance(child, Node):
+def _function_info(stmts: list[Stmt], lo: int, hi: int, name: str,
+                   params: tuple[Param, ...], has_return_annotation: bool,
+                   span: int, is_method: bool, header_depth: int) -> FunctionInfo:
+    """The record of a function whose statements are ``stmts[lo:hi]``."""
+    stats = _measure_block(stmts, lo, hi)
+    return FunctionInfo(
+        name=name,
+        params=params,
+        has_return_annotation=has_return_annotation,
+        body_line_span=span,
+        return_count=stats.return_count,
+        branch_count=stats.branch_count,
+        control_count=stats.control_count,
+        max_call_depth=max(header_depth, stats.max_call_depth),
+        has_docstring=_first_statement_is_string(stmts, lo, hi),
+        has_try=stats.has_try,
+        except_clauses=tuple(stats.except_clauses),
+        is_method=is_method,
+    )
+
+
+def _collect_defs(stmts: list[Stmt], lenient: bool) -> list[FunctionInfo]:
+    records = []
+    for i, stmt in enumerate(stmts):
+        if stmt.kind != "def":
             continue
-        if child.kind == "def":
-            try:
-                name, params, has_ret = _def_name_and_params(child.header)
-            except SyntaxUnsupported:
-                if not lenient:
-                    raise
-                _collect_defs(child, False, out, lenient)
-                continue
-            stats = _BlockStats()
-            stats.max_call_depth = _call_depth(child.header.tokens)
-            _measure_block(child, stats)
-            lo, hi = child.line_range()
-            if lo is None:  # header with an empty block
-                lo = hi = child.header.line_start
-            span = hi - lo + 1
-            is_method = scope_is_class or (
-                bool(params) and params[0].name in ("self", "cls")
-            )
-            out.append(FunctionInfo(
-                name=name,
-                params=params,
-                has_return_annotation=has_ret,
-                body_line_span=span,
-                return_count=stats.return_count,
-                branch_count=stats.branch_count,
-                control_count=stats.control_count,
-                max_call_depth=stats.max_call_depth,
-                has_docstring=_first_statement_is_string(child),
-                has_try=stats.has_try,
-                except_clauses=tuple(stats.except_clauses),
-                is_method=is_method,
-            ))
-            _collect_defs(child, False, out, lenient)
-        elif child.kind == "class":
-            _collect_defs(child, True, out, lenient)
-        else:
-            _collect_defs(child, scope_is_class, out, lenient)
+        try:
+            name, params, has_ret = _def_name_and_params(stmt)
+        except SyntaxUnsupported:
+            if not lenient:
+                raise
+            continue
+        lines = _body_lines(stmts, i)
+        lo, hi = lines or (stmt.line_start, stmt.line_start)  # empty block
+        scope = stmt.parent  # the nearest enclosing def or class
+        while scope >= 0 and stmts[scope].kind not in ("def", "class"):
+            scope = stmts[scope].parent
+        is_method = (scope >= 0 and stmts[scope].kind == "class") or (
+            bool(params) and params[0].name in ("self", "cls")
+        )
+        records.append(_function_info(stmts, i + 1, stmt.end, name, params, has_ret,
+                                      hi - lo + 1, is_method, _call_depth(stmt.tokens)))
+    return records
 
 
 def parse_functions(source: str, lenient: bool = False) -> list[FunctionInfo]:
@@ -459,26 +469,12 @@ def parse_functions(source: str, lenient: bool = False) -> list[FunctionInfo]:
 
 def module_pseudo_function(source: str, total_lines: int) -> FunctionInfo:
     """Whole-file record used when a file defines no functions."""
-    return _pseudo_function(SourceDoc.of(source, lenient=True).module, total_lines)
+    return _pseudo_function(SourceDoc.of(source, lenient=True).stmts, total_lines)
 
 
-def _pseudo_function(module: Node, total_lines: int) -> FunctionInfo:
-    stats = _BlockStats()
-    _measure_block(module, stats)
-    return FunctionInfo(
-        name="<module>",
-        params=(),
-        has_return_annotation=False,
-        body_line_span=max(total_lines, 1),
-        return_count=stats.return_count,
-        branch_count=stats.branch_count,
-        control_count=stats.control_count,
-        max_call_depth=stats.max_call_depth,
-        has_docstring=_first_statement_is_string(module),
-        has_try=stats.has_try,
-        except_clauses=tuple(stats.except_clauses),
-        is_method=False,
-    )
+def _pseudo_function(stmts: list[Stmt], total_lines: int) -> FunctionInfo:
+    return _function_info(stmts, 0, len(stmts), "<module>", (), False,
+                          max(total_lines, 1), False, 0)
 
 
 @dataclass(frozen=True)
@@ -491,20 +487,12 @@ class BlockSpan:
 
 
 def block_spans(source: str) -> list[BlockSpan]:
-    return list(_iter_spans(SourceDoc.of(source, lenient=True).module))
+    return list(_iter_spans(SourceDoc.of(source, lenient=True).stmts))
 
 
-def _iter_spans(node: Node):
-    for child in node.children:
-        if not isinstance(child, Node):
-            continue
-        if child.kind in ("def", "for", "while"):
-            lo, hi = child.line_range()
-            if lo is not None:
-                yield BlockSpan(
-                    kind=child.kind,
-                    header_line=child.header.line_start,
-                    body_start=lo,
-                    body_end=hi,
-                )
-        yield from _iter_spans(child)
+def _iter_spans(stmts: list[Stmt]):
+    for i, stmt in enumerate(stmts):
+        if stmt.kind in ("def", "for", "while"):
+            lines = _body_lines(stmts, i)
+            if lines is not None:
+                yield BlockSpan(stmt.kind, stmt.line_start, *lines)

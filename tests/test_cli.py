@@ -183,6 +183,26 @@ def test_corpus_lenient_drops_a_record_the_lexer_rejects(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "MalformedRecord"
 
 
+def test_corpus_non_string_record(tmp_path, capsys):
+    path = tmp_path / "in.jsonl"
+    path.write_text(
+        json.dumps({"id": "a", "code1": "x = 1", "code2": "x = 1"}) + "\n"
+        + json.dumps({"id": "b", "code1": 5, "code2": "y = 2\n"}) + "\n",
+        encoding="utf-8",
+    )
+    out_path = tmp_path / "out.jsonl"
+    code, out, _ = run(capsys, "corpus", path, "--lenient", "--out", out_path, "--json")
+    assert code == 0
+    doc = json.loads(out)
+    c = doc["counts"]
+    assert (c["input"], c["kept"], c["dropped_malformed"]) == (2, 1, 1)
+    assert c["kept"] + c["dropped_dupe"] + c["dropped_len"] + c["dropped_malformed"] == c["input"]
+    assert doc["records"] == 1 and out_path.exists()
+    code, out, err = run(capsys, "corpus", path, "--json")
+    assert code == 2
+    assert json.loads(err.strip())["error"] == "MalformedRecord"
+
+
 def test_corpus_roundtrip(tmp_path, capsys):
     src_dir = tmp_path / "srcs"
     src_dir.mkdir()

@@ -105,6 +105,21 @@ def test_record_the_lexer_rejects_is_malformed_in_strict_mode(tmp_path):
     assert info.value.reason.startswith("InvalidCharacter: ")
 
 
+@pytest.mark.parametrize("value", [5, ["y = 2"], {"src": "y = 2"}, True])
+def test_non_string_code_is_malformed(tmp_path, value):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [record_doc(0, "a = 1"), {"id": "b", "code1": value, "code2": "y = 2\n"},
+                       {"id": "c", "code1": "z = 3\n", "code2": value}, record_doc(3, "d = 4")])
+    corp = ingest(path, lenient=True)
+    assert [r.id for r in corp.records] == ["r0", "r3"]
+    c = corp.manifest.counts
+    assert (c["input"], c["kept"], c["dropped_malformed"]) == (4, 2, 2)
+    assert c["kept"] + c["dropped_dupe"] + c["dropped_len"] + c["dropped_malformed"] == c["input"]
+    with pytest.raises(MalformedRecord) as info:
+        ingest(path)
+    assert (info.value.line, info.value.reason) == (2, "code1/code2 must be strings")
+
+
 def test_bom_prefixed_inputs_lose_only_the_bom(tmp_path):
     path = tmp_path / "in.jsonl"
     path.write_text("\ufeff" + json.dumps(record_doc(0, "a = 1")) + "\n"

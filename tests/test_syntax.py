@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import json
+import math
 import sys
 
 import pytest
 
 import archetype_corpus as ac
 from stylekit import lexer
+from stylekit.cli import main
 from stylekit.contrastive import extract_snippets
-from stylekit.features import analyze
+from stylekit.corpus import from_sources, precompute_styles
+from stylekit.features import REGISTRY, analyze, extract_identifiers
 from stylekit.lexer import line_profile
 from stylekit.metrics import score
 from stylekit.syntax import (
@@ -41,6 +45,11 @@ def test_docstring_detection():
 
 def test_no_functions():
     assert parse_functions("x = 3") == []
+    # A line shallower than the first ends all nesting: the rest stays flat
+    # statements, so this def is no function and binds no name.
+    shallow = "  x = 1\ndef f():\n    return 1\n"
+    assert parse_functions(shallow) == []
+    assert [r.text for r in extract_identifiers(shallow)] == ["x"]
 
 
 def test_nested_defs_are_separate_records():
@@ -166,6 +175,8 @@ def test_call_depth_subscript_call():
 def test_span_includes_blank_lines_inside_body():
     src = "def f():\n    a = 1\n\n    return a\n"
     assert parse_functions(src)[0].body_line_span == 3
+    # a header with an empty block counts in no range
+    assert parse_functions("def f():\n    if x:\n    y = 1\n")[0].body_line_span == 1
 
 
 def test_inline_body():
@@ -250,6 +261,11 @@ def test_block_spans_for_snippets():
     by_kind = {s.kind: s for s in spans}
     assert by_kind["def"].body_start == 2 and by_kind["def"].body_end == 3
     assert by_kind["for"].body_start == 6 and by_kind["for"].body_end == 7
+    # a header with an empty block counts in no range
+    for src, lines in [("def f():\n    if x:\n    y = 1\n", (3, 3)),
+                       ("def f():\n    x = 1\n    if y:\n", (2, 2))]:
+        assert [(s.kind, s.body_start, s.body_end) for s in block_spans(src)] == [
+            ("def", *lines)]
 
 
 # -- one analysis per source --------------------------------------------------
@@ -302,7 +318,7 @@ def test_strict_doc_equals_lenient_doc_when_strict_succeeds():
     for _, source, _ in ac.make_corpus(30, seed=2):
         strict, lenient = SourceDoc.of(source), SourceDoc.of(source, lenient=True)
         assert strict.tokens == lenient.tokens
-        assert strict.module == lenient.module
+        assert strict.stmts == lenient.stmts
         assert strict.functions == lenient.functions
         assert strict.profile == lenient.profile == line_profile(source)
 
@@ -312,3 +328,34 @@ def test_strict_doc_raises_where_lenient_doc_skips():
     with pytest.raises(SyntaxUnsupported):
         SourceDoc.of(source).functions
     assert SourceDoc.of(source, lenient=True).functions == []
+
+
+# -- deep nesting -------------------------------------------------------------
+
+
+DEEP = ("def f(a):\n"
+        + "".join("    " * (i + 1) + f"if a{i}:\n" for i in range(1000))
+        + "    " * 1001 + "return a\n")
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_deep_nesting_analyzes(lenient):
+    values = analyze(DEEP, lenient=lenient).values
+    assert len(values) == len(REGISTRY) == 34
+    assert all(math.isfinite(v) for v in values)
+
+
+def test_deep_nesting_function_record():
+    [rec] = parse_functions(DEEP)
+    assert (rec.name, rec.branch_count, rec.return_count) == ("f", 1000, 1)
+    assert rec.body_line_span == 1001
+
+
+def test_deep_nesting_precomputes_and_runs_in_the_cli(tmp_path, capsys):
+    out = precompute_styles(from_sources([("deep", DEEP), ("flat", "x = 1\n")]))
+    assert out.manifest.style_errors == {}
+    assert all(r.style_vec is not None for r in out.records)
+    path = tmp_path / "deep.py"
+    path.write_text(DEEP, encoding="utf-8")
+    assert main(["analyze", str(path), "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["raw"]) == 34
