@@ -221,9 +221,9 @@ def _cmd_score(args) -> int:
     report = metrics.score(candidate, reference)
     doc = report.as_dict()
     if args.ce is not None:
-        lam = 0.1 if args.lambda_ is None else args.lambda_
+        weight = {} if args.lambda_ is None else {"weight": args.lambda_}
         doc["total_loss"] = metrics.total_loss(
-            args.ce, report.style_loss, metrics.LossConfig(lam)
+            args.ce, report.style_loss, metrics.LossConfig(**weight)
         )
     if args.csv:
         header = ["css", "bleu4", "rouge1_f1", "rouge2_f1", "rougeL_f1", "style_loss"]
@@ -277,13 +277,11 @@ def _cmd_pairs(args) -> int:
 
 def _cmd_train(args) -> int:
     pairs = contrastive.pairs_from_jsonl(args.pairs)
+    given = {"epochs": args.epochs, "batch_size": args.batch, "temperature": args.temp,
+             "lr": args.lr, "seed": args.seed}
     cfg = contrastive.TrainConfig(
-        epochs=30 if args.epochs is None else args.epochs,
-        batch_size=16 if args.batch is None else args.batch,
-        temperature=0.07 if args.temp is None else args.temp,
-        lr=1e-3 if args.lr is None else args.lr,
-        seed=args.seed or 0,
         symmetric_loss=bool(args.symmetric),
+        **{name: value for name, value in given.items() if value is not None},
     )
     out = args.out or "encoder.ckpt"
     log_path = Path(out).with_suffix(".log.csv")

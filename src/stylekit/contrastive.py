@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import MalformedRecord, json_record
 from .features import analyze, normalize
 from .lexer import lex
 from .nn import (
@@ -76,6 +77,8 @@ class TrainConfig:
             raise ValueError("temperature must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
+        if self.epochs < 1:
+            raise ValueError("epochs must be at least 1")
 
 
 def extract_snippets(source: str) -> list[str]:
@@ -151,14 +154,14 @@ def pairs_to_jsonl(pairs: list[ContrastivePair], path: str | Path) -> None:
 def pairs_from_jsonl(path: str | Path) -> list[ContrastivePair]:
     pairs = []
     with Path(path).open("r", encoding="utf-8-sig") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            pairs.append(ContrastivePair(
-                id=doc["id"], file_id=doc["file_id"],
-                anchor=doc["anchor"], positive=doc["positive"],
-            ))
+            doc = json_record(line_no, line)
+            values = [doc.get(key) for key in ("id", "file_id", "anchor", "positive")]
+            if not all(isinstance(v, str) for v in values):
+                raise MalformedRecord(line_no, "id, file_id, anchor and positive must be strings")
+            pairs.append(ContrastivePair(*values))
     return pairs
 
 

@@ -64,9 +64,17 @@ class CorpusFile:
     records: list[CorpusRecord]
     manifest: Manifest
 
-    def split_records(self, name: str) -> list[CorpusRecord]:
-        wanted = set(self.manifest.splits.get(name, ()))
-        return [r for r in self.records if r.id in wanted]
+
+def json_record(line_no: int, raw: str) -> dict:
+    """One JSONL line as an object; :class:`MalformedRecord` names the line
+    when it is not one."""
+    try:
+        doc = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise MalformedRecord(line_no, f"bad JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise MalformedRecord(line_no, "record is not an object")
+    return doc
 
 
 def token_count(text: str) -> int:
@@ -126,15 +134,7 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
     for line_no, payload in _iter_input_lines(paths):
         counts["input"] += 1
         try:
-            if isinstance(payload, str):
-                try:
-                    doc = json.loads(payload)
-                except json.JSONDecodeError as exc:
-                    raise MalformedRecord(line_no, f"bad JSON: {exc}") from exc
-            else:
-                doc = payload
-            if not isinstance(doc, dict):
-                raise MalformedRecord(line_no, "record is not an object")
+            doc = json_record(line_no, payload) if isinstance(payload, str) else payload
             code1 = doc.get("code1")
             code2 = doc.get("code2")
             if not code1 or not code2:
@@ -246,7 +246,7 @@ def load_jsonl(path: str | Path) -> CorpusFile:
         for line_no, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            doc = json.loads(raw)
+            doc = json_record(line_no, raw)
             vec = doc.get("style_vec")
             records.append(CorpusRecord(
                 id=str(doc["id"]),

@@ -45,7 +45,8 @@ import string
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import Token, TokenKind, bracket_depths, normalize_newlines, split_lines
+from .lexer import (_CLOSERS, TAB_WIDTH, Token, TokenKind, bracket_depths,
+                    normalize_newlines, split_lines)
 from .syntax import (
     FunctionInfo,
     SourceDoc,
@@ -325,15 +326,10 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
     ]
 
 
-# Operators counted by the spacing feature. ``+ - * ** @`` are skipped in
-# unary positions (start of expression or after another operator/opener).
-_BINARY_OPS = frozenset((
-    "+", "-", "*", "/", "//", "%", "**", "@", "<<", ">>", "&", "|", "^",
-    "<", ">", "<=", ">=", "==", "!=", "=", "+=", "-=", "*=", "/=", "//=",
-    "%=", "**=", "<<=", ">>=", "&=", "|=", "^=", "@=", ":=", "->",
-))
-_MAYBE_UNARY = frozenset(("+", "-", "*", "**", "~", "@"))
-_OPERAND_END_PUNCT = frozenset((")", "]", "}"))
+# Every operator but ``~`` counts for the spacing feature; ``+ - * ** @``
+# are skipped in unary positions (start of expression or after another
+# operator/opener).
+_MAYBE_UNARY = frozenset(("+", "-", "*", "**", "@"))
 
 
 def iter_binary_operators(tokens: list[Token]):
@@ -343,13 +339,13 @@ def iter_binary_operators(tokens: list[Token]):
         if tok.is_synthetic():
             prev = None if tok.kind is TokenKind.NEWLINE else prev
             continue
-        if tok.kind is TokenKind.OPERATOR and tok.text in _BINARY_OPS:
+        if tok.kind is TokenKind.OPERATOR and tok.text != "~":
             if tok.text in _MAYBE_UNARY:
                 operand_before = prev is not None and (
                     prev.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER,
                                   TokenKind.STRING)
                     or (prev.kind is TokenKind.PUNCT
-                        and prev.text in _OPERAND_END_PUNCT)
+                        and prev.text in _CLOSERS)
                 )
                 if operand_before:
                     yield tok
@@ -364,7 +360,7 @@ def _char_before(line_text: str, col: int) -> str:
     for idx, ch in enumerate(line_text):
         if ec == col:
             return line_text[idx - 1] if idx > 0 else ""
-        ec += 4 - (ec % 4) if ch == "\t" else 1
+        ec += TAB_WIDTH - (ec % TAB_WIDTH) if ch == "\t" else 1
     return ""
 
 
@@ -373,7 +369,7 @@ def space_pattern(source: str) -> float:
     source = normalize_newlines(source)
     occupied = 0
     for line in split_lines(source)[:SPACE_PATTERN_ROWS]:
-        expanded = line.expandtabs(4)
+        expanded = line.expandtabs(TAB_WIDTH)
         occupied += sum(1 for c in expanded[:SPACE_PATTERN_COLS] if not c.isspace())
     return occupied / (SPACE_PATTERN_ROWS * SPACE_PATTERN_COLS)
 
@@ -390,7 +386,7 @@ def layout_features(doc: SourceDoc) -> list[float]:
     var_len = (
         fmean([(x - avg_len) ** 2 for x in lengths]) if lengths else 0.0
     )
-    levels = [rec.indent_columns / 4 for rec in nonblank]
+    levels = [rec.indent_columns / TAB_WIDTH for rec in nonblank]
     indent_avg = fmean(levels) if levels else 0.0
 
     spaced = 0

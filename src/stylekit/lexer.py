@@ -50,7 +50,7 @@ _CLOSERS = frozenset(")]}")
 _OP_OR_PUNCT_RE = re.compile("|".join(
     re.escape(tok) for tok in sorted(OPERATORS + PUNCTS, key=len, reverse=True)
 ))
-_BLANKS_RE = re.compile(r"[ \t]*")
+_BLANKS_RE = re.compile(r"[ \t\f]*")
 # String bodies: a backslash takes the next character (a newline too) with
 # it; a one-quote body also stops at a newline, unterminated.
 _STRING_BODY_RE = {
@@ -124,8 +124,8 @@ class InvalidCharacter(LexError):
 
 
 def normalize_newlines(source: str) -> str:
-    """CRLF and lone CR become LF before any analysis."""
-    return source.replace("\r\n", "\n").replace("\r", "\n")
+    """CRLF and lone CR become LF, and a leading BOM goes, before any analysis."""
+    return source.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def split_lines(source: str) -> list[str]:
@@ -139,8 +139,9 @@ def split_lines(source: str) -> list[str]:
 
 
 def indent_columns(ws: str) -> int:
-    """Display width of a line's leading whitespace under TAB_WIDTH stops."""
-    return len(ws.expandtabs(TAB_WIDTH))
+    """Display width of a line's leading whitespace under TAB_WIDTH stops.
+    A form feed restarts the count, as it does in ``tokenize``."""
+    return len(ws[ws.rfind("\f") + 1:].expandtabs(TAB_WIDTH))
 
 
 class _Scanner:
@@ -187,6 +188,9 @@ class _Scanner:
         """Skip a line's indentation outside brackets; update the indent
         stack on code lines."""
         end = _BLANKS_RE.match(self.src, pos).end()
+        feed = self.src.rfind("\f", pos, end)
+        if feed >= 0:  # a form feed restarts the column, as in ``tokenize``
+            self.mark, self.mark_col = feed + 1, 0
         if end == self.n or self.src[end] in "\n#":
             return end  # blank or comment-only: indentation is not evidence
         cols = self._col(end)
@@ -301,8 +305,8 @@ class _Scanner:
 
 # Handler by first character; characters not listed take ``_Scanner._other``.
 _DISPATCH = {
-    " ": _Scanner._blanks, "\t": _Scanner._blanks, "\n": _Scanner._newline,
-    "\\": _Scanner._backslash, "#": _Scanner._comment,
+    " ": _Scanner._blanks, "\t": _Scanner._blanks, "\f": _Scanner._blanks,
+    "\n": _Scanner._newline, "\\": _Scanner._backslash, "#": _Scanner._comment,
     "'": _Scanner._string, '"': _Scanner._string,
     **dict.fromkeys(string.digits, _Scanner._number),
     **dict.fromkeys(string.ascii_letters + "_", _Scanner._word),
@@ -391,45 +395,3 @@ def profile_lines(raw_lines: list[str], tokens: list[Token]) -> LineProfile:
             has_inline_comment=idx in comment_lines and idx in code_lines,
         ))
     return LineProfile(lines=tuple(records), total_lines=len(raw_lines))
-
-
-def render(tokens: list[Token]) -> str:
-    """Rebuild source text from token positions.
-
-    Whitespace is reconstructed as spaces; logical lines that spanned
-    several physical lines outside brackets get their backslash joins
-    back, so ``lex(render(lex(s)))`` reproduces ``lex(s)``.
-    """
-    out: list[str] = []
-    cur_line, cur_col = 1, 0
-    depth = 0  # the scanner's clamped count, so that joins land where it ends lines
-    newline_seen = True
-    for tok in tokens:
-        if tok.kind is TokenKind.NEWLINE:
-            newline_seen = True
-            continue
-        if tok.is_synthetic():
-            continue
-        if tok.line > cur_line:
-            joiner = "\n" if (newline_seen or depth > 0) else "\\\n"
-            out.append(joiner * (tok.line - cur_line))
-            cur_line, cur_col = tok.line, 0
-        newline_seen = False
-        if tok.col > cur_col:
-            out.append(" " * (tok.col - cur_col))
-            cur_col = tok.col
-        out.append(tok.text)
-        for ch in tok.text:
-            if ch == "\n":
-                cur_line += 1
-                cur_col = 0
-            elif ch == "\t":
-                cur_col += TAB_WIDTH - (cur_col % TAB_WIDTH)
-            else:
-                cur_col += 1
-        if tok.kind is TokenKind.PUNCT:
-            if tok.text in ("(", "[", "{"):
-                depth += 1
-            elif tok.text in (")", "]", "}"):
-                depth = max(0, depth - 1)
-    return "".join(out)

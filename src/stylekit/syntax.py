@@ -22,7 +22,7 @@ header, so a strict lex or parse that succeeds equals the lenient one.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .lexer import (_CLOSERS, _OPENERS, LineProfile, Token, TokenKind, bracket_depths,
@@ -330,48 +330,19 @@ def _classify_except(header: Stmt) -> ExceptKind:
 # -- per-function measurement -------------------------------------------------
 
 
-@dataclass
-class _BlockStats:
-    return_count: int = 0
-    branch_count: int = 0
-    control_count: int = 0
-    max_call_depth: int = 0
-    has_try: bool = False
-    except_clauses: list[ExceptKind] = field(default_factory=list)
-
-
-def _name_paren_index(tokens: list[Token]) -> int | None:
-    """Index of the paren opening a def/class header's name list, if any."""
-    i = 0
-    if i < len(tokens) and tokens[i].text == "async":
-        i += 1
-    if i >= len(tokens) or tokens[i].text not in ("def", "class"):
-        return None
-    i += 1
-    if i < len(tokens) and tokens[i].kind is TokenKind.IDENTIFIER:
-        i += 1
-    if i < len(tokens) and tokens[i].kind is TokenKind.PUNCT and tokens[i].text == "(":
-        return i
-    return None
-
-
 def _call_depth(tokens: list[Token]) -> int:
     """Nesting depth of call expressions within one statement."""
     best = 0
     # A stack, not ``bracket_depths``: the depth counts open call parens only.
     stack: list[bool] = []  # True for call-parens
     prev = None
-    header_paren = _name_paren_index(tokens)
+    header_paren = 2 + (tokens[0].text == "async")  # ``def f(`` opens no call
     for i, tok in enumerate(tokens):
         if tok.kind is TokenKind.PUNCT and tok.text in _OPENERS:
-            is_call = (
-                tok.text == "("
-                and i != header_paren
-                and prev is not None
-                and (
-                    prev.kind is TokenKind.IDENTIFIER
-                    or (prev.kind is TokenKind.PUNCT and prev.text in (")", "]"))
-                )
+            is_call = tok.text == "(" and prev is not None and (
+                (prev.kind is TokenKind.IDENTIFIER
+                 and not (i == header_paren and tokens[i - 2].text in ("def", "class")))
+                or (prev.kind is TokenKind.PUNCT and prev.text in (")", "]"))
             )
             stack.append(is_call)
             best = max(best, sum(stack))
@@ -382,9 +353,15 @@ def _call_depth(tokens: list[Token]) -> int:
     return best
 
 
-def _measure_block(stmts: list[Stmt], lo: int, hi: int) -> _BlockStats:
-    """Statement counts over ``stmts[lo:hi]``, skipping nested ``def`` blocks."""
-    stats = _BlockStats()
+def _function_info(stmts: list[Stmt], lo: int, hi: int, name: str,
+                   params: tuple[Param, ...], has_return_annotation: bool,
+                   span: int, is_method: bool, header_depth: int) -> FunctionInfo:
+    """The record of a function whose statements are ``stmts[lo:hi]``,
+    nested ``def`` blocks skipped."""
+    returns = branches = controls = 0
+    call_depth = header_depth
+    has_try = False
+    except_clauses = []
     i = lo
     while i < hi:
         stmt = stmts[i]
@@ -393,43 +370,32 @@ def _measure_block(stmts: list[Stmt], lo: int, hi: int) -> _BlockStats:
             i = stmt.end  # the nested function owns its own statements
             continue
         if kind in ("if", "elif"):
-            stats.branch_count += 1
+            branches += 1
         if kind in ("if", "for", "while", "with", "try"):
-            stats.control_count += 1
+            controls += 1
         if kind == "try":
-            stats.has_try = True
+            has_try = True
         elif kind == "except":
-            stats.except_clauses.append(_classify_except(stmt))
+            except_clauses.append(_classify_except(stmt))
         elif kind is None:
             first = stmt.tokens[0]
             if first.kind is TokenKind.KEYWORD and first.text == "return":
-                stats.return_count += 1
-        stats.max_call_depth = max(stats.max_call_depth, _call_depth(stmt.tokens))
+                returns += 1
+        call_depth = max(call_depth, _call_depth(stmt.tokens))
         i += 1
-    return stats
-
-
-def _first_statement_is_string(stmts: list[Stmt], lo: int, hi: int) -> bool:
-    return lo < hi and stmts[lo].tokens[0].kind is TokenKind.STRING  # headers open with a keyword
-
-
-def _function_info(stmts: list[Stmt], lo: int, hi: int, name: str,
-                   params: tuple[Param, ...], has_return_annotation: bool,
-                   span: int, is_method: bool, header_depth: int) -> FunctionInfo:
-    """The record of a function whose statements are ``stmts[lo:hi]``."""
-    stats = _measure_block(stmts, lo, hi)
     return FunctionInfo(
         name=name,
         params=params,
         has_return_annotation=has_return_annotation,
         body_line_span=span,
-        return_count=stats.return_count,
-        branch_count=stats.branch_count,
-        control_count=stats.control_count,
-        max_call_depth=max(header_depth, stats.max_call_depth),
-        has_docstring=_first_statement_is_string(stmts, lo, hi),
-        has_try=stats.has_try,
-        except_clauses=tuple(stats.except_clauses),
+        return_count=returns,
+        branch_count=branches,
+        control_count=controls,
+        max_call_depth=call_depth,
+        # headers open with a keyword, so only a simple statement can match
+        has_docstring=lo < hi and stmts[lo].tokens[0].kind is TokenKind.STRING,
+        has_try=has_try,
+        except_clauses=tuple(except_clauses),
         is_method=is_method,
     )
 

@@ -2,9 +2,12 @@
 
 ``_Scanner`` and ``lex`` are the earlier implementation: one character at a
 time, operators found by ``str.startswith`` probes. They are unchanged but
-for one deliberate edit: a character that ``str.isdigit`` accepts but no
+for two deliberate edits: a character that ``str.isdigit`` accepts but no
 number can start with (``²``) raises ``InvalidCharacter``, where it used to
-raise ``AttributeError``. The differential tests in
+raise ``AttributeError``; and a form feed is whitespace, which at the start
+of a line restarts the column (as in ``tokenize``), where it used to be a
+``Punct`` token. A leading BOM goes in the shared ``normalize_newlines``.
+The differential tests in
 ``test_lexer_differential.py`` require the production lexer to give the same
 tokens, or raise the same exception class, on every input. The constants are
 copied too, so that the oracle does not follow later edits to the production
@@ -64,6 +67,7 @@ _NUMBER_RE = re.compile(
 )
 
 
+_BLANKS = (" ", "\t", "\x0c")  # changed on purpose: the form feed was not here
 _SYNTHETIC = frozenset((TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT))
 
 
@@ -108,8 +112,11 @@ class _Scanner:
 
     def _handle_line_start(self) -> None:
         """Consume leading whitespace; update the indent stack on code lines."""
-        while self._peek() in (" ", "\t"):
+        while self._peek() in _BLANKS:
+            feed = self._peek() == "\x0c"
             self._advance()
+            if feed:
+                self.col = 0  # changed on purpose: a form feed restarts the column
         ch = self._peek()
         if ch in ("", "\n", "#"):
             return  # blank or comment-only: indentation is not evidence
@@ -227,7 +234,7 @@ class _Scanner:
                 if self.depth == 0 and not self.continuation:
                     self._handle_line_start()
                 else:
-                    while self._peek() in (" ", "\t"):
+                    while self._peek() in _BLANKS:
                         self._advance()
                 self.continuation = False
                 at_line_start = False
@@ -236,7 +243,7 @@ class _Scanner:
             if ch == "\n":
                 self._end_physical_line()
                 at_line_start = True
-            elif ch in (" ", "\t"):
+            elif ch in _BLANKS:
                 self._advance()
             elif ch == "\\" and self._peek(1) == "\n":
                 self._advance(2)

@@ -5,8 +5,12 @@ import warnings
 
 import pytest
 
+from stylekit import checkpoint as ckpt, contrastive
 from stylekit.cli import main
+from stylekit.contrastive import TrainConfig
 from stylekit.features import REGISTRY
+from stylekit.metrics import LossConfig
+from stylekit.nn import CodeTower, EncoderModel, StyleTower
 
 SRC = "def add_nums(a, b):\n    return a + b\n"
 
@@ -254,6 +258,75 @@ def test_pairs_train_embed_eval_pipeline(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert 0.0 <= doc["recall"] <= 1.0
+
+
+def _pair_line(i):
+    return json.dumps({"id": f"p{i}", "file_id": f"f{i}",
+                       "anchor": f"x{i} = {i}\n", "positive": f"x{i} = {i}\n"})
+
+
+BAD_PAIR_LINES = {
+    "anchor_not_string": json.dumps({"id": "p3", "file_id": "f3", "anchor": 5,
+                                     "positive": "x = 1\n"}),
+    "not_an_object": "[1, 2]",
+    "no_file_id": json.dumps({"id": "p3", "anchor": "x = 1\n", "positive": "x = 1\n"}),
+    "bad_json": '{"id": "p3", "file_id"',
+}
+
+
+@pytest.mark.parametrize("command", ["train", "eval-retrieval"])
+@pytest.mark.parametrize("bad", sorted(BAD_PAIR_LINES))
+def test_malformed_pairs_line_is_input_error(tmp_path, capsys, command, bad):
+    lines = [_pair_line(i) for i in range(20)]
+    lines[3] = BAD_PAIR_LINES[bad]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    model = tmp_path / "model.ckpt"
+    if command == "train":
+        argv = ["train", "--pairs", pairs, "--out", model, "--epochs", "1", "--batch", "4"]
+    else:
+        ckpt.save(EncoderModel(
+            style=StyleTower(seed=0, layers=(34, 8, 8, 8, 16)),
+            code=CodeTower(seed=1, vocab=64, embed_dim=8, hidden_dim=8, out_dim=16),
+        ), model)
+        argv = ["eval-retrieval", "--pairs", pairs, "--ckpt", model]
+    written = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    doc = json.loads(err.strip())
+    assert doc["error"] == "MalformedRecord"
+    assert doc["message"].startswith("line 4: ")
+    assert out == "" and sorted(tmp_path.iterdir()) == written
+
+
+def test_train_zero_epochs_is_input_error(tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(_pair_line(i) + "\n" for i in range(20)), encoding="utf-8")
+    code, out, err = run(capsys, "train", "--pairs", pairs, "--out", tmp_path / "m.ckpt",
+                         "--epochs", "0", "--batch", "4", "--json")
+    assert code == 2
+    assert json.loads(err.strip())["message"] == "epochs must be at least 1"
+    assert out == "" and sorted(tmp_path.iterdir()) == [pairs]
+
+
+def test_unset_flags_take_the_library_defaults(tmp_path, capsys, files, monkeypatch):
+    a, b = files
+    code, out, _ = run(capsys, "score", "--candidate", a, "--reference", b,
+                       "--json", "--ce", "2.0")
+    doc = json.loads(out)
+    assert doc["total_loss"] == 2.0 + LossConfig().weight * doc["style_loss"]
+
+    seen = []
+
+    def no_training(pairs, cfg, **kwargs):
+        seen.append(cfg)
+        raise RuntimeError("not training")
+
+    monkeypatch.setattr(contrastive, "train", no_training)
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(_pair_line(i) + "\n" for i in range(20)), encoding="utf-8")
+    assert run(capsys, "train", "--pairs", pairs)[0] == 3
+    assert seen == [TrainConfig()]
 
 
 def test_config_file_flags_win(tmp_path, capsys, files):

@@ -138,6 +138,19 @@ def test_bom_prefixed_inputs_lose_only_the_bom(tmp_path):
     assert [r.code2 for r in ingest(tmp_path / "pkg" / "a.py").records] == ["a = 1\n"]
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("[1, 2]", "record is not an object"),
+    ('{"id": "r1", "code1"', "bad JSON: "),
+])
+def test_load_jsonl_names_a_malformed_line(tmp_path, line, reason):
+    path = tmp_path / "saved.jsonl"
+    path.write_text(json.dumps(record_doc(0, "a = 1")) + "\n\n" + line + "\n",
+                    encoding="utf-8")
+    with pytest.raises(MalformedRecord) as info:
+        load_jsonl(path)
+    assert info.value.line == 3 and info.value.reason.startswith(reason)
+
+
 def test_manifest_reconciles(tmp_path):
     path = tmp_path / "in.jsonl"
     write_jsonl(path, [

@@ -13,7 +13,6 @@ from stylekit.lexer import (
     indent_columns,
     lex,
     line_profile,
-    render,
 )
 
 
@@ -189,13 +188,6 @@ def test_every_non_whitespace_char_covered_once(src):
     assert covered == non_ws + ws_inside_tokens
 
 
-@pytest.mark.parametrize("src", SAMPLES)
-def test_render_round_trip(src):
-    first = lex(src)
-    again = lex(render(first))
-    assert again == first
-
-
 @given(st.text(alphabet="abc_ (),:=+#'\n\t0123456789", max_size=80))
 @settings(max_examples=300, deadline=None)
 def test_lex_total_and_deterministic(src):
@@ -228,6 +220,25 @@ def test_line_profile_counts_lines_as_tokens_do():
     assert [rec.is_comment_only for rec in prof.lines] == [False, True, False]
     assert prof.lines[0].raw_length == len("a = 1\x0cb = 2")
     assert [t.line for t in lex(source) if t.kind is TokenKind.COMMENT] == [2]
+
+
+def test_form_feed_is_whitespace_that_restarts_the_column():
+    toks = lex("\x0cdef f():\n  \x0c\tx = 1\x0c+ 2\n")
+    assert [(t.text, t.line, t.col) for t in toks if not t.is_synthetic()] == [
+        ("def", 1, 0), ("f", 1, 4), ("(", 1, 5), (")", 1, 6), (":", 1, 7),
+        ("x", 2, 4), ("=", 2, 6), ("1", 2, 8), ("+", 2, 10), ("2", 2, 12),
+    ]
+    assert kinds(toks).count(TokenKind.INDENT) == 1
+    # the line profile measures indentation as the tokens do
+    assert indent_columns("  \x0c\t") == 4
+    assert line_profile("if a:\n \x0c  b = 1\n").lines[1].indent_columns == 2
+
+
+def test_leading_bom_is_dropped():
+    source = "x = 1  # c\n"
+    assert lex("\ufeff" + source) == lex(source)
+    assert line_profile("\ufeff" + source) == line_profile(source)
+    assert texts(lex("x = \ufeff")) == ["x", "=", "\ufeff"]  # only a leading one
 
 
 def test_line_profile_leading_ws_verbatim():

@@ -165,11 +165,25 @@ def test_call_depth_nested_vs_sequential():
     assert sequential.max_call_depth == 1
     none = parse_functions("def f():\n    return 1")[0]
     assert none.max_call_depth == 0
+    # the paren after a def or class name opens no call; one in a default
+    # or a base does, and a def inside brackets is no header
+    default = parse_functions("async def f(a=g(h(1))): return a")[0]
+    assert default.max_call_depth == 2
+    base = parse_functions("def f():\n    class C(B(x)):\n        pass\n")[0]
+    assert base.max_call_depth == 1
+    assert module_pseudo_function("print(def f(x))\n", 1).max_call_depth == 2
 
 
 def test_call_depth_subscript_call():
     rec = parse_functions("def f(t):\n    return t[0](g(t))")[0]
     assert rec.max_call_depth == 2
+
+
+@pytest.mark.parametrize("lead", ["\x0c", "\ufeff"])
+def test_form_feed_or_bom_before_def(lead):
+    src = lead + "def f(a):\n    return a\n"
+    for lenient in (False, True):
+        assert [rec.name for rec in parse_functions(src, lenient)] == ["f"]
 
 
 def test_span_includes_blank_lines_inside_body():
