@@ -39,6 +39,10 @@ class TruncatedBlob(CheckpointError):
     pass
 
 
+class MalformedHeader(CheckpointError):
+    """A header field that is missing or malformed, or towers it cannot build."""
+
+
 def _tensor_manifest(model: EncoderModel) -> list[dict]:
     entries = []
     for prefix, tower in (("style", model.style), ("code", model.code)):
@@ -85,6 +89,26 @@ def save(model: EncoderModel, path: str | Path) -> None:
             fh.write(arr.astype(entry["dtype"], copy=False).tobytes())
 
 
+def _empty_model(header: dict) -> EncoderModel:
+    """Towers of the header's sizes, dtype and hash seed; the blobs set their weights."""
+    dims = header["dims"]
+    dtype = header["tensors"][0]["dtype"] if header["tensors"] else "<f4"
+    np_dtype = np.float64 if dtype == "<f8" else np.float32
+    style = StyleTower(seed=0, layers=tuple(dims["style_layers"]), dtype=np_dtype)
+    code = CodeTower(
+        seed=0,
+        vocab=dims["code"]["vocab"],
+        embed_dim=dims["code"]["embed_dim"],
+        hidden_dim=dims["code"]["hidden_dim"],
+        out_dim=dims["code"]["out_dim"],
+        hash_seed=header["hash_seed"],
+        dtype=np_dtype,
+    )
+    if style.layers[-1] != code.out_dim:
+        raise ValueError(f"style width {style.layers[-1]} != code width {code.out_dim}")
+    return EncoderModel(style=style, code=code)
+
+
 def load(path: str | Path) -> EncoderModel:
     blob = Path(path).read_bytes()
     if blob[:4] != MAGIC:
@@ -99,6 +123,8 @@ def load(path: str | Path) -> EncoderModel:
         header = json.loads(blob[8:header_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise TruncatedBlob(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise MalformedHeader(f"{path}: header is not an object")
     if header.get("schema") != SCHEMA:
         raise SchemaVersionMismatch(
             f"checkpoint schema {header.get('schema')!r} != {SCHEMA!r}"
@@ -107,42 +133,31 @@ def load(path: str | Path) -> EncoderModel:
     if header.get("caps") != caps:
         raise SchemaVersionMismatch("normalization caps do not match this analyzer")
 
-    dims = header["dims"]
-    dtype = header["tensors"][0]["dtype"] if header["tensors"] else "<f4"
-    np_dtype = np.float64 if dtype == "<f8" else np.float32
-    style = StyleTower(seed=0, layers=tuple(dims["style_layers"]), dtype=np_dtype)
-    code = CodeTower(
-        seed=0,
-        vocab=dims["code"]["vocab"],
-        embed_dim=dims["code"]["embed_dim"],
-        hidden_dim=dims["code"]["hidden_dim"],
-        out_dim=dims["code"]["out_dim"],
-        hash_seed=header["hash_seed"],
-        dtype=np_dtype,
-    )
-    model = EncoderModel(style=style, code=code)
+    try:
+        model = _empty_model(header)
+        tensors = [(str(entry["name"]), tuple(int(d) for d in entry["shape"]),
+                    _DTYPES[entry["dtype"]]) for entry in header["tensors"]]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise MalformedHeader(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
 
     offset = header_end
-    for entry in header["tensors"]:
-        prefix, name = entry["name"].split(".", 1)
+    for full_name, shape, dt in tensors:
+        prefix, _, name = full_name.partition(".")
         tower = model.style if prefix == "style" else model.code
         if name not in tower.params:
-            raise SchemaVersionMismatch(f"unknown tensor {entry['name']!r}")
-        shape = tuple(entry["shape"])
-        dt = _DTYPES[entry["dtype"]]
+            raise SchemaVersionMismatch(f"unknown tensor {full_name!r}")
+        if tower.params[name].shape != shape:
+            raise SchemaVersionMismatch(
+                f"tensor {full_name!r} shape {shape} does not fit the model"
+            )
         nbytes = int(np.prod(shape)) * dt.itemsize
         chunk = blob[offset:offset + nbytes]
         if len(chunk) < nbytes:
             raise TruncatedBlob(
-                f"{path}: tensor {entry['name']!r} needs {nbytes} bytes, "
+                f"{path}: tensor {full_name!r} needs {nbytes} bytes, "
                 f"got {len(chunk)}"
             )
-        arr = np.frombuffer(chunk, dtype=dt).reshape(shape)
-        if tower.params[name].shape != shape:
-            raise SchemaVersionMismatch(
-                f"tensor {entry['name']!r} shape {shape} does not fit the model"
-            )
-        tower.params[name] = arr.copy()
+        tower.params[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).copy()
         offset += nbytes
     if offset != len(blob):
         raise TruncatedBlob(f"{path}: {len(blob) - offset} trailing bytes")

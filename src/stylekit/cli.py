@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import contrastive, corpus as corpus_mod, features, metrics
+from . import contrastive, corpus as corpus_mod, features, metrics, nn
 from .lexer import LexError, lex
 from .syntax import SyntaxUnsupported
 
@@ -28,6 +28,10 @@ EXIT_INTERNAL = 3
 
 class UsageError(Exception):
     pass
+
+
+class InvalidConfig(ValueError):
+    """A ``--config`` line that is not ``key=value``, or a value that its cast rejects."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +56,7 @@ def _load_config(path: str | None) -> dict[str, str]:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"config line is not key=value: {raw!r}")
+            raise InvalidConfig(f"config line is not key=value: {raw!r}")
         key, value = line.split("=", 1)
         out[key.strip().replace("-", "_")] = value.strip()
     return out
@@ -67,8 +71,10 @@ def _merge_config(args: argparse.Namespace, config: dict[str, str]) -> None:
     for key, value in config.items():
         attr = "lambda_" if key == "lambda" else key
         if getattr(args, attr, None) is None:
-            cast = casts.get(attr, str)
-            setattr(args, attr, cast(value))
+            try:
+                setattr(args, attr, casts.get(attr, str)(value))
+            except ValueError as exc:
+                raise InvalidConfig(f"config value {key} = {value!r}: {exc}") from exc
 
 
 def build_parser() -> _Parser:
@@ -188,29 +194,20 @@ _SECTIONS = (
 def _cmd_diff(args) -> int:
     raw_a = features.analyze(_read(args.file_a), lenient=bool(args.lenient))
     raw_b = features.analyze(_read(args.file_b), lenient=bool(args.lenient))
+    sections = {
+        section: zip(features.REGISTRY[sl], raw_a.values[sl], raw_b.values[sl])
+        for section, sl in _SECTIONS
+    }
     if args.json:
-        doc = {
-            section: [
-                {
-                    "feature": name,
-                    "a": raw_a.values[i],
-                    "b": raw_b.values[i],
-                    "delta": raw_b.values[i] - raw_a.values[i],
-                }
-                for i, name in enumerate(features.REGISTRY)
-                if features.REGISTRY[sl].count(name)
-            ]
-            for section, sl in _SECTIONS
-        }
-        print(json.dumps(doc))
+        print(json.dumps({
+            section: [{"feature": name, "a": a, "b": b, "delta": b - a} for name, a, b in rows]
+            for section, rows in sections.items()
+        }))
         return EXIT_OK
     width = max(len(n) for n in features.REGISTRY)
-    for section, sl in _SECTIONS:
+    for section, rows in sections.items():
         print(f"[{section}]")
-        start = sl.start
-        for offset, name in enumerate(features.REGISTRY[sl]):
-            i = start + offset
-            a, b = raw_a.values[i], raw_b.values[i]
+        for name, a, b in rows:
             print(f"  {name:<{width}}  {a:>12.6g}  {b:>12.6g}  {b - a:>+12.6g}")
     return EXIT_OK
 
@@ -252,8 +249,8 @@ def _cmd_score(args) -> int:
 
 
 def _load_corpus_input(path: str, max_tokens: int | None, lenient: bool):
-    cap = corpus_mod.DEFAULT_MAX_TOKENS if max_tokens is None else max_tokens
-    return corpus_mod.ingest(path, max_tokens=cap, lenient=lenient)
+    cap = {} if max_tokens is None else {"max_tokens": max_tokens}
+    return corpus_mod.ingest(path, lenient=lenient, **cap)
 
 
 def _cmd_pairs(args) -> int:
@@ -261,17 +258,15 @@ def _cmd_pairs(args) -> int:
     pairs = contrastive.build_pairs(
         corp, seed=args.seed or 0, max_pairs_per_file=args.max_per_file
     )
-    docs = [{"id": p.id, "file_id": p.file_id, "anchor": p.anchor,
-             "positive": p.positive} for p in pairs]
     if args.out:
         contrastive.pairs_to_jsonl(pairs, args.out)
         _emit(args, {"pairs": len(pairs), "out": args.out},
               f"wrote {len(pairs)} pairs to {args.out}")
     elif args.json:
-        print(json.dumps({"pairs": docs}))
+        print(json.dumps({"pairs": [vars(p) for p in pairs]}))
     else:
-        for doc in docs:
-            print(json.dumps(doc))
+        for p in pairs:
+            print(json.dumps(vars(p)))
     return EXIT_OK
 
 
@@ -330,9 +325,10 @@ def _parse_split_arg(arg: str) -> dict[str, float]:
         if not part.strip():
             continue
         name, _, value = part.partition("=")
-        if not value:
-            raise ValueError(f"bad split component {part!r}")
-        ratios[name.strip()] = float(value)
+        try:
+            ratios[name.strip()] = float(value)
+        except ValueError:
+            raise corpus_mod.RatioError(f"bad split component {part!r}") from None
     return ratios
 
 
@@ -364,11 +360,14 @@ _COMMANDS = {
     "corpus": _cmd_corpus,
 }
 
+# Bad input only: a ValueError or KeyError from anywhere else is our bug.
 _INPUT_ERRORS = (
-    FileNotFoundError, IsADirectoryError, UnicodeDecodeError, LexError,
-    SyntaxUnsupported, features.EmptySource, features.SchemaMismatch,
-    metrics.EmptyInput, corpus_mod.MalformedRecord, corpus_mod.RatioError,
-    ckpt.CheckpointError, json.JSONDecodeError, KeyError, ValueError,
+    FileNotFoundError, IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError,
+    InvalidConfig, LexError, SyntaxUnsupported, features.EmptySource,
+    features.SchemaMismatch, metrics.EmptyInput, metrics.NonFiniteInput,
+    metrics.InvalidWeight, corpus_mod.MalformedRecord, corpus_mod.RatioError,
+    contrastive.InvalidSetting, contrastive.EmptyHeldout, nn.EmptyTokenStream,
+    nn.DimensionMismatch, ckpt.CheckpointError,
 )
 
 

@@ -13,7 +13,7 @@ import json
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,10 @@ class EmptyHeldout(ValueError):
     pass
 
 
+class InvalidSetting(ValueError):
+    """A training, pairing or retrieval setting out of its range."""
+
+
 class InsufficientSnippets(UserWarning):
     pass
 
@@ -67,18 +71,21 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 16
     temperature: float = 0.07
-    embedding_dim: int = 1024
     lr: float = 1e-3
     seed: int = 0
     symmetric_loss: bool = False
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise InvalidSetting("temperature must be finite and positive")
         if self.batch_size < 2:
-            raise ValueError("batch_size must be at least 2")
+            raise InvalidSetting("batch_size must be at least 2")
         if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
+            raise InvalidSetting("epochs must be at least 1")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidSetting("lr must be finite and positive")
+        if self.seed < 0:
+            raise InvalidSetting("seed must be non-negative")
 
 
 def extract_snippets(source: str) -> list[str]:
@@ -109,19 +116,21 @@ def extract_snippets(source: str) -> list[str]:
     return snippets
 
 
-def build_pairs(corpus, seed: int = 0, max_pairs_per_file: int | None = None,
-                use_code2: bool = True) -> list[ContrastivePair]:
-    """One pair per extracted snippet, anchored on the whole file.
+def build_pairs(corpus, seed: int = 0,
+                max_pairs_per_file: int | None = None) -> list[ContrastivePair]:
+    """One pair per extracted snippet of a record's ``code2``, anchored on
+    the whole of it.
 
     Files with fewer than two extractable snippets are skipped with an
     :class:`InsufficientSnippets` warning. With ``max_pairs_per_file`` the
     kept snippets are sampled without replacement under ``seed``.
     """
+    if seed < 0 or (max_pairs_per_file is not None and max_pairs_per_file < 0):
+        raise InvalidSetting("seed and max_pairs_per_file must be non-negative")
     rng = np.random.default_rng(seed)
     pairs: list[ContrastivePair] = []
     for record in corpus.records:
-        source = record.code2 if use_code2 else record.code1
-        snippets = extract_snippets(source)
+        snippets = extract_snippets(record.code2)
         if len(snippets) < 2:
             warnings.warn(
                 f"file {record.id!r} has {len(snippets)} extractable snippet(s); skipped",
@@ -136,7 +145,7 @@ def build_pairs(corpus, seed: int = 0, max_pairs_per_file: int | None = None,
             pairs.append(ContrastivePair(
                 id=f"{record.id}:{i}",
                 file_id=record.id,
-                anchor=source,
+                anchor=record.code2,
                 positive=snippets[i],
             ))
     return pairs
@@ -145,22 +154,21 @@ def build_pairs(corpus, seed: int = 0, max_pairs_per_file: int | None = None,
 def pairs_to_jsonl(pairs: list[ContrastivePair], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for p in pairs:
-            fh.write(json.dumps({
-                "id": p.id, "file_id": p.file_id,
-                "anchor": p.anchor, "positive": p.positive,
-            }) + "\n")
+            fh.write(json.dumps(vars(p)) + "\n")
 
 
 def pairs_from_jsonl(path: str | Path) -> list[ContrastivePair]:
+    names = [f.name for f in fields(ContrastivePair)]
     pairs = []
     with Path(path).open("r", encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             doc = json_record(line_no, line)
-            values = [doc.get(key) for key in ("id", "file_id", "anchor", "positive")]
+            values = [doc.get(name) for name in names]
             if not all(isinstance(v, str) for v in values):
-                raise MalformedRecord(line_no, "id, file_id, anchor and positive must be strings")
+                raise MalformedRecord(
+                    line_no, f"{', '.join(names[:-1])} and {names[-1]} must be strings")
             pairs.append(ContrastivePair(*values))
     return pairs
 
@@ -252,13 +260,10 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
           log_fn=None) -> tuple[EncoderModel, list[EpochLog]]:
     """Train both towers with in-batch InfoNCE; deterministic under seed."""
     if len(pairs) < cfg.batch_size:
-        raise ValueError(f"need at least {cfg.batch_size} pairs, got {len(pairs)}")
+        raise InvalidSetting(f"need at least {cfg.batch_size} pairs, got {len(pairs)}")
     rng = np.random.default_rng(cfg.seed)
-    style = StyleTower(
-        seed=cfg.seed, layers=(34, 128, 512, 768, cfg.embedding_dim)
-    )
-    code = CodeTower(seed=cfg.seed + 1, out_dim=cfg.embedding_dim,
-                     hash_seed=cfg.seed)
+    style = StyleTower(seed=cfg.seed)
+    code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
     model = EncoderModel(style=style, code=code)
 
     # the expensive analysis happens once per anchor and positive, not per epoch
@@ -346,6 +351,8 @@ def recall_at_k(anchor_embs: np.ndarray, style_embs: np.ndarray,
     """
     if len(pair_ids) == 0:
         raise EmptyHeldout("no held-out pairs")
+    if k < 1:
+        raise InvalidSetting(f"k must be at least 1, got {k}")
     sims = anchor_embs @ style_embs.T
     own = np.diag(sims)[:, None]
     n = len(pair_ids)

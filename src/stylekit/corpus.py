@@ -10,7 +10,8 @@ tokens excluded.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from copy import deepcopy
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,8 @@ from .lexer import LexError
 from .syntax import SourceDoc, SyntaxUnsupported
 
 DEFAULT_MAX_TOKENS = 378
+# A manifest's counters; kept + dropped_* = input.
+_COUNTERS = ("input", "kept", "dropped_dupe", "dropped_len", "dropped_malformed")
 
 
 class MalformedRecord(ValueError):
@@ -30,7 +33,7 @@ class MalformedRecord(ValueError):
 
 
 class RatioError(ValueError):
-    pass
+    """Split ratios that are negative, NaN or sum past one, or a negative seed."""
 
 
 @dataclass
@@ -50,13 +53,7 @@ class Manifest:
     style_errors: dict = field(default_factory=dict)  # record id -> message
 
     def as_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "max_tokens": self.max_tokens,
-            "counts": dict(self.counts),
-            "splits": {k: list(v) for k, v in self.splits.items()},
-            "style_errors": dict(self.style_errors),
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -92,24 +89,18 @@ def _iter_input_lines(paths):
     if isinstance(paths, (str, Path)):
         paths = [paths]
     line_no = 0
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            for src in sorted(path.rglob("*.py")):
-                line_no += 1
-                text = src.read_text(encoding="utf-8-sig")
-                yield line_no, {"id": src.stem, "code1": text, "code2": text}
-        elif path.suffix == ".jsonl":
+    for path in map(Path, paths):
+        if path.suffix == ".jsonl" and not path.is_dir():
             with path.open("r", encoding="utf-8-sig") as fh:
                 for raw in fh:
                     line_no += 1
-                    if not raw.strip():
-                        continue
-                    yield line_no, raw
-        else:
+                    if raw.strip():
+                        yield line_no, raw
+            continue
+        for src in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
             line_no += 1
-            text = path.read_text(encoding="utf-8-sig")
-            yield line_no, {"id": path.stem, "code1": text, "code2": text}
+            text = src.read_text(encoding="utf-8-sig")
+            yield line_no, {"id": src.stem, "code1": text, "code2": text}
 
 
 def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
@@ -126,10 +117,7 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
     records: list[CorpusRecord] = []
     seen_keys: set[str] = set()
     seen_ids: set[str] = set()
-    counts = {
-        "input": 0, "kept": 0,
-        "dropped_dupe": 0, "dropped_len": 0, "dropped_malformed": 0,
-    }
+    counts = dict.fromkeys(_COUNTERS, 0)
     auto_id = 0
     for line_no, payload in _iter_input_lines(paths):
         counts["input"] += 1
@@ -173,9 +161,10 @@ def split(corpus: CorpusFile, ratios: dict[str, float], seed: int) -> CorpusFile
     """Seeded shuffle, then contiguous assignment at cumulative-floor
     boundaries; 100 records at 0.99/0.01 become 99/1. Ratios may sum to
     less than one; the tail stays unassigned."""
-    total_ratio = sum(ratios.values())
-    if any(r < 0 for r in ratios.values()) or total_ratio > 1.0 + 1e-9:
+    if not (all(r >= 0 for r in ratios.values()) and sum(ratios.values()) <= 1.0 + 1e-9):
         raise RatioError(f"ratios must be non-negative and sum to <= 1: {ratios}")
+    if seed < 0:
+        raise RatioError(f"split seed must be non-negative, got {seed}")
     order = np.random.default_rng(seed).permutation(len(corpus.records))
     splits: dict[str, list[str]] = {}
     start = 0
@@ -185,13 +174,7 @@ def split(corpus: CorpusFile, ratios: dict[str, float], seed: int) -> CorpusFile
         end = int(len(corpus.records) * cumulative + 1e-9)
         splits[name] = [corpus.records[i].id for i in order[start:end]]
         start = end
-    manifest = Manifest(
-        schema=corpus.manifest.schema,
-        max_tokens=corpus.manifest.max_tokens,
-        counts=dict(corpus.manifest.counts),
-        splits=splits,
-        style_errors=dict(corpus.manifest.style_errors),
-    )
+    manifest = replace(deepcopy(corpus.manifest), splits=splits)
     return CorpusFile(records=list(corpus.records), manifest=manifest)
 
 
@@ -210,16 +193,8 @@ def precompute_styles(corpus: CorpusFile) -> CorpusFile:
                 vec = normalize(analyze(rec.code2))
             except (LexError, SyntaxUnsupported, ValueError) as exc:
                 errors[rec.id] = f"{type(exc).__name__}: {exc}"
-                vec = None
-        records.append(CorpusRecord(id=rec.id, code1=rec.code1,
-                                    code2=rec.code2, style_vec=vec))
-    manifest = Manifest(
-        schema=corpus.manifest.schema,
-        max_tokens=corpus.manifest.max_tokens,
-        counts=dict(corpus.manifest.counts),
-        splits={k: list(v) for k, v in corpus.manifest.splits.items()},
-        style_errors=errors,
-    )
+        records.append(replace(rec, style_vec=vec))
+    manifest = replace(deepcopy(corpus.manifest), style_errors=errors)
     return CorpusFile(records=records, manifest=manifest)
 
 
@@ -248,31 +223,23 @@ def load_jsonl(path: str | Path) -> CorpusFile:
                 continue
             doc = json_record(line_no, raw)
             vec = doc.get("style_vec")
-            records.append(CorpusRecord(
-                id=str(doc["id"]),
-                code1=doc["code1"],
-                code2=doc["code2"],
-                style_vec=StyleVector(values=tuple(vec)) if vec else None,
-            ))
+            try:
+                records.append(CorpusRecord(
+                    id=str(doc["id"]),
+                    code1=doc["code1"],
+                    code2=doc["code2"],
+                    style_vec=StyleVector(values=tuple(vec)) if vec else None,
+                ))
+            except KeyError as exc:
+                raise MalformedRecord(line_no, f"missing {exc.args[0]!r}") from exc
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
-    manifest = Manifest()
-    if manifest_path.exists():
-        doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-        manifest = Manifest(
-            schema=doc.get("schema", SCHEMA),
-            max_tokens=doc.get("max_tokens", DEFAULT_MAX_TOKENS),
-            counts=doc.get("counts", {}),
-            splits=doc.get("splits", {}),
-            style_errors=doc.get("style_errors", {}),
-        )
+    doc = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.exists() else {}
+    manifest = Manifest(**{f.name: doc[f.name] for f in fields(Manifest) if f.name in doc})
     return CorpusFile(records=records, manifest=manifest)
 
 
 def from_sources(sources: list[tuple[str, str]]) -> CorpusFile:
     """Build a corpus directly from (id, source) pairs; no filtering."""
     records = [CorpusRecord(id=i, code1=s, code2=s) for i, s in sources]
-    manifest = Manifest(counts={
-        "input": len(records), "kept": len(records),
-        "dropped_dupe": 0, "dropped_len": 0, "dropped_malformed": 0,
-    })
-    return CorpusFile(records=records, manifest=manifest)
+    counts = dict.fromkeys(_COUNTERS, 0) | {"input": len(records), "kept": len(records)}
+    return CorpusFile(records=records, manifest=Manifest(counts=counts))

@@ -45,7 +45,7 @@ import string
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import (_CLOSERS, TAB_WIDTH, Token, TokenKind, bracket_depths,
+from .lexer import (_BLANKS_RE, _CLOSERS, TAB_WIDTH, Token, TokenKind, bracket_depths,
                     normalize_newlines, split_lines)
 from .syntax import (
     FunctionInfo,
@@ -355,9 +355,10 @@ def iter_binary_operators(tokens: list[Token]):
 
 
 def _char_before(line_text: str, col: int) -> str:
-    """Raw character immediately left of a display column, or ''."""
+    """Raw character left of a display column (counted as the lexer does), or ''."""
+    start = line_text.rfind("\f", 0, _BLANKS_RE.match(line_text).end()) + 1
     ec = 0
-    for idx, ch in enumerate(line_text):
+    for idx, ch in enumerate(line_text[start:], start):
         if ec == col:
             return line_text[idx - 1] if idx > 0 else ""
         ec += TAB_WIDTH - (ec % TAB_WIDTH) if ch == "\t" else 1

@@ -2,7 +2,9 @@
 
 Token positions are (1-based line, 0-based column). Columns are display
 columns with tabs expanded to a stop every ``TAB_WIDTH`` columns, so all
-downstream indentation math shares one measurement.
+downstream indentation math shares one measurement. Each physical line
+counts from after the last form feed among its leading blanks, as in
+``tokenize``, also inside brackets, after a backslash join or a string.
 
 ``Newline``, ``Indent`` and ``Dedent`` are synthetic tokens with empty
 text: ``Newline`` marks the end of a logical line (physical newlines
@@ -139,8 +141,8 @@ def split_lines(source: str) -> list[str]:
 
 
 def indent_columns(ws: str) -> int:
-    """Display width of a line's leading whitespace under TAB_WIDTH stops.
-    A form feed restarts the count, as it does in ``tokenize``."""
+    """Display width of a line's leading whitespace under TAB_WIDTH stops,
+    counted after its last form feed: the lexer's line-local column rule."""
     return len(ws[ws.rfind("\f") + 1:].expandtabs(TAB_WIDTH))
 
 
@@ -184,13 +186,17 @@ class _Scanner:
 
     # -- line structure ----------------------------------------------------
 
+    def _physical_line(self, pos: int) -> int:
+        """Start a physical line's columns at ``pos`` and skip its leading
+        blanks; a form feed among them restarts the column."""
+        end = _BLANKS_RE.match(self.src, pos).end()
+        self.mark, self.mark_col = max(pos, self.src.rfind("\f", pos, end) + 1), 0
+        return end
+
     def _line_start(self, pos: int) -> int:
         """Skip a line's indentation outside brackets; update the indent
         stack on code lines."""
-        end = _BLANKS_RE.match(self.src, pos).end()
-        feed = self.src.rfind("\f", pos, end)
-        if feed >= 0:  # a form feed restarts the column, as in ``tokenize``
-            self.mark, self.mark_col = feed + 1, 0
+        end = self._physical_line(pos)
         if end == self.n or self.src[end] in "\n#":
             return end  # blank or comment-only: indentation is not evidence
         cols = self._col(end)
@@ -208,15 +214,13 @@ class _Scanner:
             self.tokens.append(Token(TokenKind.NEWLINE, "", self.line, self._col(pos)))
             self.line_has_token = False
         self.line += 1
-        self.mark, self.mark_col = pos + 1, 0
-        return self._line_start(pos + 1) if self.depth == 0 else pos + 1
+        return self._line_start(pos + 1) if self.depth == 0 else self._physical_line(pos + 1)
 
     def _backslash(self, pos: int) -> int:
         if self.src.startswith("\n", pos + 1):
             # A backslash join: the next line continues this logical line.
             self.line += 1
-            self.mark, self.mark_col = pos + 2, 0
-            return pos + 2
+            return self._physical_line(pos + 2)
         return self._op_or_punct(pos)
 
     def _blanks(self, pos: int) -> int:
@@ -244,7 +248,7 @@ class _Scanner:
         newlines = src.count("\n", pos, end)
         if newlines:
             self.line += newlines
-            self.mark, self.mark_col = src.rfind("\n", pos, end) + 1, 0
+            self._physical_line(src.rfind("\n", pos, end) + 1)
         return end
 
     def _word(self, pos: int) -> int:

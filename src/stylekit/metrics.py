@@ -25,6 +25,10 @@ class NonFiniteInput(ValueError):
     pass
 
 
+class InvalidWeight(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class RougeScore:
     precision: float
@@ -58,7 +62,7 @@ class LossConfig:
 
     def __post_init__(self):
         if not math.isfinite(self.weight) or self.weight < 0:
-            raise ValueError("style weight must be finite and non-negative")
+            raise InvalidWeight("style weight must be finite and non-negative")
 
 
 def css(a: StyleVector, b: StyleVector) -> float:

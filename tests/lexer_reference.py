@@ -4,9 +4,11 @@
 time, operators found by ``str.startswith`` probes. They are unchanged but
 for two deliberate edits: a character that ``str.isdigit`` accepts but no
 number can start with (``²``) raises ``InvalidCharacter``, where it used to
-raise ``AttributeError``; and a form feed is whitespace, which at the start
-of a line restarts the column (as in ``tokenize``), where it used to be a
-``Punct`` token. A leading BOM goes in the shared ``normalize_newlines``.
+raise ``AttributeError``; and a form feed is whitespace, which among a
+physical line's leading blanks restarts the column (as in ``tokenize``),
+where it used to be a ``Punct`` token. That holds on every physical line,
+inside brackets, after a backslash join and inside strings too. A leading
+BOM goes in the shared ``normalize_newlines``.
 The differential tests in
 ``test_lexer_differential.py`` require the production lexer to give the same
 tokens, or raise the same exception class, on every input. The constants are
@@ -96,6 +98,12 @@ class _Scanner:
                 self.col = 0
             elif ch == "\t":
                 self.col += TAB_WIDTH - (self.col % TAB_WIDTH)
+            elif ch == "\x0c":
+                # changed on purpose: among a physical line's leading blanks
+                # a form feed restarts the column
+                line_start = self.src.rfind("\n", 0, self.pos) + 1
+                blank = not self.src[line_start:self.pos].strip(" \t\x0c")
+                self.col = 0 if blank else self.col + 1
             else:
                 self.col += 1
 
@@ -113,10 +121,7 @@ class _Scanner:
     def _handle_line_start(self) -> None:
         """Consume leading whitespace; update the indent stack on code lines."""
         while self._peek() in _BLANKS:
-            feed = self._peek() == "\x0c"
             self._advance()
-            if feed:
-                self.col = 0  # changed on purpose: a form feed restarts the column
         ch = self._peek()
         if ch in ("", "\n", "#"):
             return  # blank or comment-only: indentation is not evidence

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import struct
 import warnings
 
 import pytest
 
-from stylekit import checkpoint as ckpt, contrastive
+from stylekit import checkpoint as ckpt, contrastive, metrics
 from stylekit.cli import main
 from stylekit.contrastive import TrainConfig
+from stylekit.corpus import ingest
 from stylekit.features import REGISTRY
 from stylekit.metrics import LossConfig
 from stylekit.nn import CodeTower, EncoderModel, StyleTower
@@ -358,3 +360,153 @@ def test_determinism_same_seed_same_output(tmp_path, capsys):
         assert code == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_pairs_stdout_matches_pairs_to_jsonl(tmp_path, capsys):
+    src_dir = tmp_path / "srcs"
+    src_dir.mkdir()
+    for i in range(3):
+        (src_dir / f"f{i}.py").write_text(RICH.replace("alpha", f"fn{i}"))
+    argv = ["pairs", src_dir, "--seed", "5", "--max-per-file", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, _ = run(capsys, *argv)
+        code_json, out_json, _ = run(capsys, *argv, "--json")
+        pairs = contrastive.build_pairs(ingest(src_dir), seed=5, max_pairs_per_file=1)
+    assert code == code_json == 0 and len(pairs) == 3
+    contrastive.pairs_to_jsonl(pairs, tmp_path / "pairs.jsonl")
+    lines = (tmp_path / "pairs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert out.splitlines() == lines
+    assert json.loads(out_json) == {"pairs": [json.loads(line) for line in lines]}
+
+
+def _small_checkpoint(path, style_layers=(34, 8, 8, 8, 16)):
+    ckpt.save(EncoderModel(
+        style=StyleTower(seed=0, layers=style_layers),
+        code=CodeTower(seed=1, vocab=64, embed_dim=8, hidden_dim=8, out_dim=16),
+    ), path)
+
+
+def _edit_header(path, edit):
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    header = json.loads(data[8:8 + hlen])
+    header = edit(header)
+    raw = json.dumps(header).encode()
+    path.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + hlen:])
+
+
+def _four_style_layers(header):
+    header["dims"]["style_layers"] = [34, 8, 8, 16]
+    return header
+
+
+def _narrow_code_tower(header):
+    header["dims"]["code"]["out_dim"] = 8
+    for entry in header["tensors"]:
+        if entry["name"] in ("code.w2", "code.b2"):
+            entry["shape"][0] = 8
+    return header
+
+
+BAD_CHECKPOINTS = {
+    "no_dims": lambda header: {k: v for k, v in header.items() if k != "dims"},
+    "four_style_layers": _four_style_layers,
+    "towers_of_unequal_width": _narrow_code_tower,
+    "not_an_object": lambda header: [header],
+    "bad_dtype": lambda header: {**header, "tensors": [{**header["tensors"][0], "dtype": "<i4"}]},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CHECKPOINTS))
+def test_malformed_checkpoint_header_is_input_error(tmp_path, capsys, bad):
+    model = tmp_path / "model.ckpt"
+    _small_checkpoint(model)
+    _edit_header(model, BAD_CHECKPOINTS[bad])
+    source = tmp_path / "a.py"
+    source.write_text(SRC)
+    code, out, err = run(capsys, "embed", source, "--ckpt", model, "--json")
+    assert code == 2, err
+    assert json.loads(err.strip())["error"] == "MalformedHeader"
+    assert out == ""
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Valid inputs for the bad-setting cases, and the path none may write."""
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(_pair_line(i) + "\n" for i in range(20)), encoding="utf-8")
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    _small_checkpoint(tmp_path / "model.ckpt")
+    _small_checkpoint(tmp_path / "narrow.ckpt", style_layers=(30, 8, 8, 8, 16))
+    (tmp_path / "a.py").write_text(SRC)
+    (tmp_path / "blank.py").write_text("   \n")
+    (tmp_path / "cast.conf").write_text("lr = fast\n")
+    (tmp_path / "line.conf").write_text("epochs\n")
+    (tmp_path / "corpus.jsonl").write_text(
+        json.dumps({"id": "r", "code1": RICH, "code2": RICH}) + "\n")
+    return {name: tmp_path / name for name in (
+        "pairs.jsonl", "empty.jsonl", "model.ckpt", "narrow.ckpt", "a.py", "blank.py",
+        "cast.conf", "line.conf", "corpus.jsonl", "out.file")}
+
+
+def _train(f, *extra):
+    return ["train", "--pairs", f["pairs.jsonl"], "--out", f["out.file"],
+            "--epochs", "1", "--batch", "4", *extra]
+
+
+def _score(f, *extra):
+    return ["score", "--candidate", f["a.py"], "--reference", f["a.py"], "--ce", *extra,
+            "--out", f["out.file"]]
+
+
+INPUT_ERRORS = {
+    "lr_nan": lambda f: _train(f, "--lr", "nan"),
+    "lr_negative": lambda f: _train(f, "--lr", "-1"),
+    "temp_nan": lambda f: _train(f, "--temp", "nan"),
+    "train_seed_negative": lambda f: _train(f, "--seed", "-1"),
+    "too_few_pairs": lambda f: _train(f, "--batch", "32"),
+    "config_cast": lambda f: _train(f, "--config", f["cast.conf"]),
+    "config_line": lambda f: _train(f, "--config", f["line.conf"]),
+    "k_zero": lambda f: ["eval-retrieval", "--pairs", f["pairs.jsonl"],
+                         "--ckpt", f["model.ckpt"], "--k", "0"],
+    "k_negative": lambda f: ["eval-retrieval", "--pairs", f["pairs.jsonl"],
+                             "--ckpt", f["model.ckpt"], "--k", "-3"],
+    "no_heldout_pairs": lambda f: ["eval-retrieval", "--pairs", f["empty.jsonl"],
+                                   "--ckpt", f["model.ckpt"]],
+    "style_tower_of_other_width": lambda f: ["embed", f["a.py"], "--ckpt", f["narrow.ckpt"]],
+    "no_real_token": lambda f: ["embed", f["blank.py"], "--ckpt", f["model.ckpt"],
+                                "--tower", "code"],
+    "split_not_a_number": lambda f: ["corpus", f["corpus.jsonl"], "--split", "train=abc",
+                                     "--out", f["out.file"]],
+    "split_nan": lambda f: ["corpus", f["corpus.jsonl"], "--split", "train=nan",
+                            "--out", f["out.file"]],
+    "split_seed_negative": lambda f: ["corpus", f["corpus.jsonl"], "--split", "train=1",
+                                      "--seed", "-1", "--out", f["out.file"]],
+    "pairs_cap_negative": lambda f: ["pairs", f["corpus.jsonl"], "--max-per-file", "-1",
+                                     "--out", f["out.file"]],
+    "pairs_seed_negative": lambda f: ["pairs", f["corpus.jsonl"], "--seed", "-1",
+                                      "--out", f["out.file"]],
+    "lambda_negative": lambda f: _score(f, "1", "--lambda", "-1"),
+    "ce_nan": lambda f: _score(f, "nan"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_ERRORS))
+def test_bad_setting_or_input_is_input_error(inputs, tmp_path, capsys, case):
+    written = sorted(tmp_path.iterdir())
+    code, out, err = run(capsys, *INPUT_ERRORS[case](inputs), "--json")
+    assert code == 2, err
+    assert out == "" and sorted(tmp_path.iterdir()) == written
+
+
+@pytest.mark.parametrize("exc", [ValueError("internal"), KeyError("internal")])
+def test_internal_value_or_key_error_is_internal(files, capsys, monkeypatch, exc):
+    def broken(candidate, reference):
+        raise exc
+
+    monkeypatch.setattr(metrics, "score", broken)
+    a, b = files
+    code, out, err = run(capsys, "score", "--candidate", a, "--reference", b, "--json")
+    assert code == 3
+    assert json.loads(err.strip())["error"] == type(exc).__name__ and out == ""

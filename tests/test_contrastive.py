@@ -9,6 +9,7 @@ from stylekit.contrastive import (
     ContrastivePair,
     EmptyHeldout,
     InsufficientSnippets,
+    InvalidSetting,
     NonFiniteLoss,
     TrainConfig,
     UnnormalizedInput,
@@ -244,8 +245,29 @@ def test_train_writes_log_csv(tmp_path):
 
 
 def test_train_needs_enough_pairs():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSetting):
         train(tiny_pairs(2)[:3], TrainConfig(epochs=1, batch_size=16, seed=0))
+
+
+@pytest.mark.parametrize("setting", [
+    {"lr": math.nan}, {"lr": math.inf}, {"lr": 0.0}, {"lr": -1e-3},
+    {"temperature": math.nan}, {"temperature": 0.0}, {"batch_size": 1}, {"epochs": 0},
+    {"seed": -1},
+])
+def test_train_config_rejects_a_bad_setting(setting):
+    with pytest.raises(InvalidSetting):
+        TrainConfig(**setting)
+
+
+def test_bad_pair_cap_seed_or_k_is_rejected():
+    corpus = from_sources([("a", "x = 1\n")])
+    for kwargs in ({"seed": -1}, {"max_pairs_per_file": -1}):
+        with pytest.raises(InvalidSetting):
+            build_pairs(corpus, **kwargs)
+    embs = np.eye(2)
+    for k in (0, -3):
+        with pytest.raises(InvalidSetting):
+            recall_at_k(embs, embs, ["p0", "p1"], k)
 
 
 def test_train_batches_avoid_same_file():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -141,6 +142,9 @@ def test_bom_prefixed_inputs_lose_only_the_bom(tmp_path):
 @pytest.mark.parametrize("line, reason", [
     ("[1, 2]", "record is not an object"),
     ('{"id": "r1", "code1"', "bad JSON: "),
+    ('{"code1": "x = 1", "code2": "y = 2"}', "missing 'id'"),
+    ('{"id": "r1", "code2": "y = 2"}', "missing 'code1'"),
+    ('{"id": "r1", "code1": "x = 1"}', "missing 'code2'"),
 ])
 def test_load_jsonl_names_a_malformed_line(tmp_path, line, reason):
     path = tmp_path / "saved.jsonl"
@@ -224,10 +228,35 @@ def test_split_disjoint():
     assert len(set.union(*ids)) == 53
 
 
+def _container_ids(manifest):
+    return {id(x) for x in (manifest.counts, manifest.splits, manifest.style_errors,
+                            *manifest.splits.values())}
+
+
+def test_split_and_precompute_leave_the_input_manifest_alone():
+    corp = split(from_sources([(f"r{i}", f"x{i} = {i}") for i in range(4)] + [("bad", " ")]),
+                 {"train": 0.5}, 0)
+    for step in (lambda c: split(c, {"a": 0.5, "b": 0.5}, 1), precompute_styles):
+        before = copy.deepcopy(corp.manifest)
+        out = step(corp)
+        assert corp.manifest == before and out.manifest != before
+        assert not _container_ids(corp.manifest) & _container_ids(out.manifest)
+        corp = out
+
+
 def test_split_ratio_error():
     corp = from_sources([("a", "x = 1")])
     with pytest.raises(RatioError):
         split(corp, {"train": 0.9, "valid": 0.2}, seed=0)
+
+
+@pytest.mark.parametrize("ratios, seed", [
+    ({"train": -0.1}, 0), ({"train": float("nan")}, 0), ({"train": float("inf")}, 0),
+    ({"train": 0.5}, -1),
+])
+def test_split_rejects_a_bad_ratio_or_seed(ratios, seed):
+    with pytest.raises(RatioError):
+        split(from_sources([("a", "x = 1")]), ratios, seed)
 
 
 def test_precompute_matches_fresh_analysis():
@@ -271,6 +300,15 @@ def test_jsonl_round_trip(tmp_path):
     path2 = tmp_path / "again.jsonl"
     save_jsonl(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+    # a manifest with every field set survives the round trip
+    raw = tmp_path / "in.jsonl"
+    write_jsonl(raw, [record_doc(i, f"v{i} = {i}\n") for i in range(6)]
+                + [record_doc(6, "s = 'open\n")])
+    corp = precompute_styles(split(ingest(raw, max_tokens=500), {"train": 0.5, "test": 0.5}, 2))
+    assert corp.manifest.max_tokens == 500 and list(corp.manifest.style_errors) == ["r6"]
+    save_jsonl(corp, path)
+    assert load_jsonl(path).manifest == corp.manifest
 
 
 def test_dedup_preserves_first_occurrence_order(tmp_path):

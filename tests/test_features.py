@@ -148,6 +148,21 @@ def test_space_before_operator_no_space():
     assert named["space_before_operator"] == 0.0
 
 
+@pytest.mark.parametrize("src, expected", [
+    ("\x0cx = a + b\n", 1.0),
+    ("if 1:\n    \x0cy = a + b\n", 1.0),
+    ("x = (a\n\x0c + b)\n", 1.0),      # a form feed inside brackets
+    ("x = (a\n\x0c+ b)\n", 0.5),
+    ("x = a \\\n\x0c+ b\n", 0.5),      # after a backslash join
+    ("s = '''a\n\x0c''' + b\n", 1.0),  # on the last line of a string
+])
+def test_space_before_operator_after_a_form_feed(src, expected):
+    # the lexer's columns restart after a form feed among a line's leading
+    # blanks, and the character before an operator is read the same way
+    named = dict(zip(REGISTRY[LAYOUT_SLICE], layout_features(SourceDoc.of(src))))
+    assert named["space_before_operator"] == expected
+
+
 def test_type_hint_ratio():
     src = "def a() -> int:\n    return 1\n\ndef b():\n    return 2"
     feats = layout_features(SourceDoc.of(src))

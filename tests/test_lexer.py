@@ -234,6 +234,16 @@ def test_form_feed_is_whitespace_that_restarts_the_column():
     assert line_profile("if a:\n \x0c  b = 1\n").lines[1].indent_columns == 2
 
 
+@pytest.mark.parametrize("src, line, col", [
+    ("x = (a\n\x0c + b)\n", 2, 1),       # inside brackets
+    ("x = a \\\n\x0c+ b\n", 2, 0),       # after a backslash join
+    ("s = '''a\n \x0c''' + b\n", 2, 4),  # on the last line of a string
+    ("x = a \x0c+ b\n", 1, 7),           # not leading: one column
+])
+def test_form_feed_restarts_the_column_on_every_physical_line(src, line, col):
+    assert [(t.line, t.col) for t in lex(src) if t.text == "+"] == [(line, col)]
+
+
 def test_leading_bom_is_dropped():
     source = "x = 1  # c\n"
     assert lex("\ufeff" + source) == lex(source)
