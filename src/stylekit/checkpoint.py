@@ -5,11 +5,15 @@ UTF-8 JSON header, then raw little-endian float blobs in the order the
 header's tensor manifest declares. The header pins the analyzer schema
 and normalization caps so a checkpoint cannot be silently paired with a
 different feature space. ``save -> load -> save`` is byte-identical.
+``load`` checks every manifest shape against the header's dimensions and
+their total size against the file before it allocates, then builds the
+towers from the blobs without drawing any random weights.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -89,24 +93,31 @@ def save(model: EncoderModel, path: str | Path) -> None:
             fh.write(arr.astype(entry["dtype"], copy=False).tobytes())
 
 
-def _empty_model(header: dict) -> EncoderModel:
-    """Towers of the header's sizes, dtype and hash seed; the blobs set their weights."""
+def _layout(header: dict) -> tuple[dict, dict, list[tuple[str, tuple, np.dtype]]]:
+    """The towers' sizes and the manifest's tensors, read from the header;
+    every shape is checked against the sizes before anything is allocated."""
     dims = header["dims"]
-    dtype = header["tensors"][0]["dtype"] if header["tensors"] else "<f4"
-    np_dtype = np.float64 if dtype == "<f8" else np.float32
-    style = StyleTower(seed=0, layers=tuple(dims["style_layers"]), dtype=np_dtype)
-    code = CodeTower(
-        seed=0,
-        vocab=dims["code"]["vocab"],
-        embed_dim=dims["code"]["embed_dim"],
-        hidden_dim=dims["code"]["hidden_dim"],
-        out_dim=dims["code"]["out_dim"],
-        hash_seed=header["hash_seed"],
-        dtype=np_dtype,
-    )
-    if style.layers[-1] != code.out_dim:
-        raise ValueError(f"style width {style.layers[-1]} != code width {code.out_dim}")
-    return EncoderModel(style=style, code=code)
+    style_dims = {"layers": dims["style_layers"]}
+    code_dims = {k: dims["code"][k] for k in ("vocab", "embed_dim", "hidden_dim", "out_dim")}
+    expected = {f"style.{name}": shape
+                for name, shape in StyleTower.param_shapes(**style_dims).items()}
+    expected.update({f"code.{name}": shape
+                     for name, shape in CodeTower.param_shapes(**code_dims).items()})
+    if expected["style.br"] != expected["code.b2"]:
+        raise ValueError(f"style width {expected['style.br'][0]} "
+                         f"!= code width {expected['code.b2'][0]}")
+    tensors = [(str(entry["name"]), tuple(int(d) for d in entry["shape"]),
+                _DTYPES[entry["dtype"]]) for entry in header["tensors"]]
+    for name, shape, _ in tensors:
+        if name not in expected:
+            raise SchemaVersionMismatch(f"unknown tensor {name!r}")
+        if expected[name] != shape:
+            raise SchemaVersionMismatch(f"tensor {name!r} shape {shape} does not fit the model")
+    if sorted(name for name, _, _ in tensors) != sorted(expected):
+        raise SchemaVersionMismatch("the manifest must list each tensor of the model once")
+    code_dims["hash_seed"] = header["hash_seed"]
+    CodeTower.hash_key(code_dims["hash_seed"])
+    return style_dims, code_dims, tensors
 
 
 def load(path: str | Path) -> EncoderModel:
@@ -134,31 +145,24 @@ def load(path: str | Path) -> EncoderModel:
         raise SchemaVersionMismatch("normalization caps do not match this analyzer")
 
     try:
-        model = _empty_model(header)
-        tensors = [(str(entry["name"]), tuple(int(d) for d in entry["shape"]),
-                    _DTYPES[entry["dtype"]]) for entry in header["tensors"]]
+        style_dims, code_dims, tensors = _layout(header)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedHeader(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+    counts = [math.prod(shape) for _, shape, _ in tensors]
+    needed = sum(count * dt.itemsize for count, (_, _, dt) in zip(counts, tensors))
+    if needed != len(blob) - header_end:
+        raise TruncatedBlob(f"{path}: the tensors take {needed} bytes, "
+                            f"the file holds {len(blob) - header_end} after the header")
 
+    params: dict[str, dict[str, np.ndarray]] = {"style": {}, "code": {}}
     offset = header_end
-    for full_name, shape, dt in tensors:
+    for count, (full_name, shape, dt) in zip(counts, tensors):
         prefix, _, name = full_name.partition(".")
-        tower = model.style if prefix == "style" else model.code
-        if name not in tower.params:
-            raise SchemaVersionMismatch(f"unknown tensor {full_name!r}")
-        if tower.params[name].shape != shape:
-            raise SchemaVersionMismatch(
-                f"tensor {full_name!r} shape {shape} does not fit the model"
-            )
-        nbytes = int(np.prod(shape)) * dt.itemsize
-        chunk = blob[offset:offset + nbytes]
-        if len(chunk) < nbytes:
-            raise TruncatedBlob(
-                f"{path}: tensor {full_name!r} needs {nbytes} bytes, "
-                f"got {len(chunk)}"
-            )
-        tower.params[name] = np.frombuffer(chunk, dtype=dt).reshape(shape).copy()
-        offset += nbytes
-    if offset != len(blob):
-        raise TruncatedBlob(f"{path}: {len(blob) - offset} trailing bytes")
-    return model
+        params[prefix][name] = np.frombuffer(
+            blob, dtype=dt, count=count, offset=offset).reshape(shape).copy()
+        offset += count * dt.itemsize
+    dtype = np.float64 if tensors[0][2].itemsize == 8 else np.float32
+    return EncoderModel(
+        style=StyleTower.from_params(params["style"], **style_dims, dtype=dtype),
+        code=CodeTower.from_params(params["code"], **code_dims, dtype=dtype),
+    )

@@ -366,8 +366,8 @@ _INPUT_ERRORS = (
     InvalidConfig, LexError, SyntaxUnsupported, features.EmptySource,
     features.SchemaMismatch, metrics.EmptyInput, metrics.NonFiniteInput,
     metrics.InvalidWeight, corpus_mod.MalformedRecord, corpus_mod.RatioError,
-    contrastive.InvalidSetting, contrastive.EmptyHeldout, nn.EmptyTokenStream,
-    nn.DimensionMismatch, ckpt.CheckpointError,
+    contrastive.InvalidSetting, contrastive.EmptyHeldout, contrastive.NonFiniteLoss,
+    nn.EmptyTokenStream, nn.DimensionMismatch, ckpt.CheckpointError,
 )
 
 

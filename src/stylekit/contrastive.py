@@ -40,10 +40,15 @@ class UnnormalizedInput(ValueError):
 
 
 class NonFiniteLoss(RuntimeError):
-    def __init__(self, epoch: int, batch: int):
-        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}")
+    """Training diverged: too large an ``lr`` for the data, a setting the
+    CLI reports as bad input."""
+
+    def __init__(self, epoch: int, batch: int, lr: float):
+        super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}: "
+                         f"training diverged with lr {lr!r}")
         self.epoch = epoch
         self.batch = batch
+        self.lr = lr
 
 
 class EmptyHeldout(ValueError):
@@ -274,35 +279,37 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     opt_style = new_adam_state(style.params)
     opt_code = new_adam_state(code.params)
     logs: list[EpochLog] = []
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        losses = []
-        for batch_no, batch in enumerate(_stratified_batches(pairs, cfg.batch_size, rng)):
-            ids = [anchor_ids[i] for i in batch]
-            svecs = style_vecs[batch]
-            code_cache: dict = {}
-            style_cache: dict = {}
-            code_out = code.forward(ids, code_cache)
-            style_out = style.forward(svecs, style_cache)
-            a = l2_normalize(code_out.astype(np.float64))
-            p = l2_normalize(style_out.astype(np.float64))
-            loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
-                                              cfg.symmetric_loss)
-            if not math.isfinite(loss):
-                raise NonFiniteLoss(epoch, batch_no)
-            losses.append(loss)
-            dcode = l2_normalize_backward(code_out.astype(np.float64), da)
-            dstyle = l2_normalize_backward(style_out.astype(np.float64), dp)
-            code_grads = code.backward(code_cache, dcode.astype(np.float32))
-            style_grads = style.backward(style_cache, dstyle.astype(np.float32))
-            adam_step(code.params, code_grads, opt_code, lr=cfg.lr)
-            adam_step(style.params, style_grads, opt_style, lr=cfg.lr)
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(losses)),
-                         wall_ms=wall_ms)
-        logs.append(entry)
-        if log_fn is not None:
-            log_fn(entry)
+    # Overflow from too large an lr ends as the NonFiniteLoss check below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            losses = []
+            for batch_no, batch in enumerate(_stratified_batches(pairs, cfg.batch_size, rng)):
+                ids = [anchor_ids[i] for i in batch]
+                svecs = style_vecs[batch]
+                code_cache: dict = {}
+                style_cache: dict = {}
+                code_out = code.forward(ids, code_cache)
+                style_out = style.forward(svecs, style_cache)
+                a = l2_normalize(code_out.astype(np.float64))
+                p = l2_normalize(style_out.astype(np.float64))
+                loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
+                                                  cfg.symmetric_loss)
+                if not math.isfinite(loss):
+                    raise NonFiniteLoss(epoch, batch_no, cfg.lr)
+                losses.append(loss)
+                dcode = l2_normalize_backward(code_out.astype(np.float64), da)
+                dstyle = l2_normalize_backward(style_out.astype(np.float64), dp)
+                code_grads = code.backward(code_cache, dcode.astype(np.float32))
+                style_grads = style.backward(style_cache, dstyle.astype(np.float32))
+                adam_step(code.params, code_grads, opt_code, lr=cfg.lr)
+                adam_step(style.params, style_grads, opt_style, lr=cfg.lr)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(losses)),
+                             wall_ms=wall_ms)
+            logs.append(entry)
+            if log_fn is not None:
+                log_fn(entry)
 
     if log_path is not None:
         with Path(log_path).open("w", encoding="utf-8") as fh:

@@ -3,7 +3,16 @@
 Both BLEU and ROUGE tokenize through the code lexer (comments kept,
 synthetic whitespace tokens dropped), so the scores are insensitive to
 whitespace layout; layout fidelity is what CSS and the style loss are
-for. ``score`` reads both from one :class:`~stylekit.syntax.SourceDoc` per side.
+for. ``score`` reads both from one :class:`~stylekit.syntax.SourceDoc` per side
+and counts each side's 1..4-grams once for BLEU, ROUGE-1 and ROUGE-2.
+
+ROUGE-L's longest common subsequence is the bit-vector algorithm of
+L. Allison and T. I. Dix, "A bit-string longest-common-subsequence
+algorithm", Information Processing Letters 23(5), 1986, in the form of
+H. Hyyrö, "Bit-parallel LCS-length computation revisited", AWOCA 2004:
+one Python int holds a row of the dynamic program as bit differences, so
+a row costs a few big-int operations instead of one step per cell. It
+returns the dynamic program's length exactly.
 """
 
 from __future__ import annotations
@@ -102,7 +111,12 @@ def metric_tokens(source: str) -> list[str]:
 
 
 def _ngrams(tokens: list[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+    return Counter(zip(*(tokens[i:] for i in range(n))))
+
+
+def _orders(tokens: list[str]) -> list[Counter]:
+    """The 1..4-gram counters of one token stream, order n at index n - 1."""
+    return [_ngrams(tokens, n) for n in range(1, 5)]
 
 
 def bleu4(candidate: str, reference: str) -> float:
@@ -112,19 +126,19 @@ def bleu4(candidate: str, reference: str) -> float:
     1 / (2 * hypothesis n-gram count); a zero unigram precision stays
     zero, so token-disjoint pairs score 0.0.
     """
-    return _bleu4(metric_tokens(candidate), metric_tokens(reference))
+    cand, ref = metric_tokens(candidate), metric_tokens(reference)
+    return _bleu4(cand, ref, _orders(cand), _orders(ref))
 
 
-def _bleu4(cand: list[str], ref: list[str]) -> float:
+def _bleu4(cand: list[str], ref: list[str],
+           cand_orders: list[Counter], ref_orders: list[Counter]) -> float:
     if not cand or not ref:
         raise EmptyInput("bleu4 needs non-empty token streams")
     log_sum = 0.0
-    for n in range(1, 5):
-        cand_ngrams = _ngrams(cand, n)
+    for n, cand_ngrams, ref_ngrams in zip(range(1, 5), cand_orders, ref_orders):
         total = sum(cand_ngrams.values())
         if total == 0:
             return 0.0  # candidate shorter than n tokens
-        ref_ngrams = _ngrams(ref, n)
         clipped = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
         if clipped == 0:
             if n == 1:
@@ -145,16 +159,29 @@ def _prf(overlap: float, cand_total: int, ref_total: int) -> RougeScore:
 
 
 def lcs_length(a: list[str], b: list[str]) -> int:
-    """Longest common subsequence length (dynamic program, O(len*len))."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length, by the bit-parallel recurrence of
+    Allison & Dix (IPL 23(5), 1986) and Hyyrö (AWOCA 2004) on Python ints.
+
+    The longer sequence lies in the bits of ``v`` and of one match mask per
+    distinct token; each token ``x`` of the shorter one steps
+    ``u = v & mask[x]; v = ((v + u) | (v - u)) & full``, and the LCS is the
+    longer length minus the set bits of ``v``. For lengths n <= m that is
+    O(n * ceil(m / w)) word operations on w-bit words, against the dynamic
+    program's n * m cells. Tokens must be hashable (they are ``str``).
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    masks: dict = {}
+    bit = 1
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        masks[x] = masks.get(x, 0) | bit
+        bit <<= 1
+    full = v = bit - 1
+    get = masks.get
+    for y in b:
+        u = v & get(y, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(a) - v.bit_count()
 
 
 def rouge(candidate: str, reference: str, variant: str) -> RougeScore:
@@ -162,22 +189,24 @@ def rouge(candidate: str, reference: str, variant: str) -> RougeScore:
 
     ``variant`` is one of ``"R1"``, ``"R2"``, ``"RL"``.
     """
-    return _rouge(metric_tokens(candidate), metric_tokens(reference), variant)
-
-
-def _rouge(cand: list[str], ref: list[str], variant: str) -> RougeScore:
+    cand, ref = metric_tokens(candidate), metric_tokens(reference)
     if not cand or not ref:
         raise EmptyInput("rouge needs non-empty token streams")
     if variant == "RL":
-        lcs = lcs_length(cand, ref)
-        return _prf(lcs, len(cand), len(ref))
+        return _rouge_l(cand, ref)
     n = {"R1": 1, "R2": 2}.get(variant)
     if n is None:
         raise ValueError(f"unknown rouge variant {variant!r}")
-    cand_ngrams = _ngrams(cand, n)
-    ref_ngrams = _ngrams(ref, n)
+    return _rouge_n(_ngrams(cand, n), _ngrams(ref, n))
+
+
+def _rouge_n(cand_ngrams: Counter, ref_ngrams: Counter) -> RougeScore:
     overlap = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
     return _prf(overlap, sum(cand_ngrams.values()), sum(ref_ngrams.values()))
+
+
+def _rouge_l(cand: list[str], ref: list[str]) -> RougeScore:
+    return _prf(lcs_length(cand, ref), len(cand), len(ref))
 
 
 def score(candidate: str, reference: str) -> MetricReport:
@@ -187,11 +216,12 @@ def score(candidate: str, reference: str) -> MetricReport:
     target = normalize(analyze_doc(ref))
     cand = SourceDoc.of(candidate)
     cand_vec = normalize(analyze_doc(cand))
+    cand_orders, ref_orders = _orders(cand.texts), _orders(ref.texts)
     return MetricReport(
         css=css(cand_vec, target),
-        bleu4=_bleu4(cand.texts, ref.texts),
-        rouge1=_rouge(cand.texts, ref.texts, "R1"),
-        rouge2=_rouge(cand.texts, ref.texts, "R2"),
-        rougeL=_rouge(cand.texts, ref.texts, "RL"),
+        bleu4=_bleu4(cand.texts, ref.texts, cand_orders, ref_orders),
+        rouge1=_rouge_n(cand_orders[0], ref_orders[0]),
+        rouge2=_rouge_n(cand_orders[1], ref_orders[1]),
+        rougeL=_rouge_l(cand.texts, ref.texts),
         style_loss=_style_loss(cand_vec, target),
     )

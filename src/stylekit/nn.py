@@ -23,6 +23,7 @@ a whole-tensor update, so its results are bit-exact, at any block size.
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,22 @@ class NonFiniteGradient(RuntimeError):
         self.tensor_name = tensor_name
 
 
+def _positive_dims(sizes) -> tuple[int, ...]:
+    """Layer sizes as ints, each at least 1 (a float or a string raises)."""
+    sizes = tuple(operator.index(x) for x in sizes)
+    if min(sizes, default=1) < 1:
+        raise ValueError(f"layer sizes must be positive, got {sizes}")
+    return sizes
+
+
+def _fitted(params: dict[str, np.ndarray], shapes: dict) -> dict[str, np.ndarray]:
+    """``params`` in the creation order of ``shapes``, which they must fit."""
+    got = {name: arr.shape for name, arr in params.items()}
+    if got != shapes:
+        raise ShapeMismatch(f"parameters {got} do not fit the sizes {shapes}")
+    return {name: params[name] for name in shapes}
+
+
 def _kaiming_uniform(rng: np.random.Generator, fan_in: int, shape, dtype):
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
@@ -67,19 +84,42 @@ class StyleTower:
     DEFAULT_LAYERS = (34, 128, 512, 768, 1024)
 
     def __init__(self, seed: int = 0, layers=DEFAULT_LAYERS, dtype=np.float32):
+        shapes = self._set_dims(layers, dtype)
+        rng = np.random.default_rng(seed)
+        # w1..w4, then the residual projection wr from the second hidden
+        # activation; biases start at zero.
+        self.params: dict[str, np.ndarray] = {
+            name: (_kaiming_uniform(rng, shape[1], shape, self.dtype) if len(shape) == 2
+                   else np.zeros(shape, dtype=self.dtype))
+            for name, shape in shapes.items()
+        }
+
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray], layers=DEFAULT_LAYERS,
+                    dtype=np.float32) -> StyleTower:
+        """A tower of these sizes holding ``params`` as its weights; no draw."""
+        tower = cls.__new__(cls)
+        tower.params = _fitted(params, tower._set_dims(layers, dtype))
+        return tower
+
+    def _set_dims(self, layers, dtype) -> dict[str, tuple[int, ...]]:
+        self.layers = _positive_dims(layers)
+        self.dtype = np.dtype(dtype)
+        return self.param_shapes(self.layers)
+
+    @staticmethod
+    def param_shapes(layers) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in creation order; checks the sizes."""
+        layers = _positive_dims(layers)
         if len(layers) != 5:
             raise ValueError("StyleTower takes exactly five layer sizes")
-        self.layers = tuple(int(x) for x in layers)
-        self.dtype = np.dtype(dtype)
-        rng = np.random.default_rng(seed)
-        d0, d1, d2, d3, d4 = self.layers
-        self.params: dict[str, np.ndarray] = {}
-        for i, (din, dout) in enumerate(zip(self.layers, self.layers[1:]), start=1):
-            self.params[f"w{i}"] = _kaiming_uniform(rng, din, (dout, din), self.dtype)
-            self.params[f"b{i}"] = np.zeros(dout, dtype=self.dtype)
-        # residual projection from the second hidden activation
-        self.params["wr"] = _kaiming_uniform(rng, d2, (d4, d2), self.dtype)
-        self.params["br"] = np.zeros(d4, dtype=self.dtype)
+        shapes = {}
+        for i, (din, dout) in enumerate(zip(layers, layers[1:]), start=1):
+            shapes[f"w{i}"] = (dout, din)
+            shapes[f"b{i}"] = (dout,)
+        shapes["wr"] = (layers[4], layers[2])
+        shapes["br"] = (layers[4],)
+        return shapes
 
     @property
     def in_dim(self) -> int:
@@ -157,12 +197,7 @@ class CodeTower:
     def __init__(self, seed: int = 0, vocab: int = 8192, embed_dim: int = 128,
                  hidden_dim: int = 512, out_dim: int = 1024, hash_seed: int = 0,
                  dtype=np.float32):
-        self.vocab = vocab
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self.out_dim = out_dim
-        self.hash_seed = hash_seed
-        self.dtype = np.dtype(dtype)
+        self._set_dims(vocab, embed_dim, hidden_dim, out_dim, hash_seed, dtype)
         rng = np.random.default_rng(seed)
         self.params = {
             "emb": (rng.uniform(-1.0, 1.0, size=(vocab, embed_dim))
@@ -172,7 +207,39 @@ class CodeTower:
             "w2": _kaiming_uniform(rng, hidden_dim, (out_dim, hidden_dim), self.dtype),
             "b2": np.zeros(out_dim, dtype=self.dtype),
         }
-        self._key = int(hash_seed).to_bytes(8, "little", signed=False)
+
+    @classmethod
+    def from_params(cls, params: dict[str, np.ndarray], vocab: int = 8192,
+                    embed_dim: int = 128, hidden_dim: int = 512, out_dim: int = 1024,
+                    hash_seed: int = 0, dtype=np.float32) -> CodeTower:
+        """A tower of these sizes holding ``params`` as its weights; no draw."""
+        tower = cls.__new__(cls)
+        tower.params = _fitted(params, tower._set_dims(
+            vocab, embed_dim, hidden_dim, out_dim, hash_seed, dtype))
+        return tower
+
+    def _set_dims(self, vocab, embed_dim, hidden_dim, out_dim, hash_seed,
+                  dtype) -> dict[str, tuple[int, ...]]:
+        dims = _positive_dims((vocab, embed_dim, hidden_dim, out_dim))
+        self.vocab, self.embed_dim, self.hidden_dim, self.out_dim = dims
+        self.hash_seed = hash_seed
+        self.dtype = np.dtype(dtype)
+        self._key = self.hash_key(hash_seed)
+        return self.param_shapes(*dims)
+
+    @staticmethod
+    def hash_key(hash_seed: int) -> bytes:
+        """The blake2b key of ``bucket``; a seed outside [0, 2**64) raises."""
+        return int(hash_seed).to_bytes(8, "little", signed=False)
+
+    @staticmethod
+    def param_shapes(vocab: int, embed_dim: int, hidden_dim: int,
+                     out_dim: int) -> dict[str, tuple[int, ...]]:
+        """Each parameter's shape, in creation order; checks the sizes."""
+        vocab, embed_dim, hidden_dim, out_dim = _positive_dims(
+            (vocab, embed_dim, hidden_dim, out_dim))
+        return {"emb": (vocab, embed_dim), "w1": (hidden_dim, embed_dim),
+                "b1": (hidden_dim,), "w2": (out_dim, hidden_dim), "b2": (out_dim,)}
 
     def param_count(self) -> int:
         return sum(p.size for p in self.params.values())

@@ -463,6 +463,7 @@ def _score(f, *extra):
 INPUT_ERRORS = {
     "lr_nan": lambda f: _train(f, "--lr", "nan"),
     "lr_negative": lambda f: _train(f, "--lr", "-1"),
+    "lr_huge": lambda f: _train(f, "--lr", "1e30"),
     "temp_nan": lambda f: _train(f, "--temp", "nan"),
     "train_seed_negative": lambda f: _train(f, "--seed", "-1"),
     "too_few_pairs": lambda f: _train(f, "--batch", "32"),
@@ -498,6 +499,15 @@ def test_bad_setting_or_input_is_input_error(inputs, tmp_path, capsys, case):
     code, out, err = run(capsys, *INPUT_ERRORS[case](inputs), "--json")
     assert code == 2, err
     assert out == "" and sorted(tmp_path.iterdir()) == written
+
+
+def test_diverging_training_names_where_and_the_lr(inputs, capsys):
+    code, out, err = run(capsys, *_train(inputs, "--lr", "1e30", "--epochs", "2"), "--json")
+    assert code == 2 and out == ""
+    doc = json.loads(err.strip().splitlines()[-1])
+    assert doc["error"] == "NonFiniteLoss"
+    assert doc["message"] == ("non-finite loss at epoch 0, batch 1: "
+                              "training diverged with lr 1e+30")
 
 
 @pytest.mark.parametrize("exc", [ValueError("internal"), KeyError("internal")])

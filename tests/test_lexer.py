@@ -292,3 +292,19 @@ def test_bracket_depths_stray_closer_goes_below_zero():
     toks = [t for t in lex("x = 1); y = (2") if not t.is_synthetic()]
     #        x  =  1  )   ;   y   =   (   2
     assert bracket_depths(toks) == [0, 0, 0, -1, -1, -1, -1, -1, 0]
+
+
+def test_token_value_semantics():
+    tok = lex("x = 1\n")[0]
+    fields = (TokenKind.IDENTIFIER, "x", 1, 0)
+    assert repr(tok) == "Token(kind=<TokenKind.IDENTIFIER: 'Identifier'>, text='x', line=1, col=0)"
+    assert tok == Token(*fields) and not tok != Token(*fields)
+    assert tok != Token(TokenKind.IDENTIFIER, "x", 1, 1)
+    assert hash(tok) == hash(Token(*fields)) == hash(fields)
+    # Equal hashes, but a token never equals the plain tuple of its fields.
+    assert tok != fields and fields != tok
+    assert not tok == fields and not fields == tok
+    assert len({tok, fields}) == 2
+    with pytest.raises(AttributeError):
+        tok.text = "y"
+    assert tok.is_synthetic() is False and lex("x\n")[-1].is_synthetic() is True

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import math
+import sysconfig
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +22,9 @@ from stylekit.features import (
 from stylekit.metrics import (
     EmptyInput,
     LossConfig,
+    MetricReport,
     NonFiniteInput,
+    RougeScore,
     bleu4,
     css,
     lcs_length,
@@ -29,6 +34,8 @@ from stylekit.metrics import (
     style_loss,
     total_loss,
 )
+
+from archetype_corpus import make_corpus
 
 # -- independent oracles -------------------------------------------------------
 
@@ -70,6 +77,73 @@ def oracle_lcs(a: list[str], b: list[str]) -> int:
         if all(x in it for x in sub):
             best = max(best, len(sub))
     return best
+
+
+def lcs_length_dp(a: list[str], b: list[str]) -> int:
+    """``lcs_length`` as it was before it went bit-parallel, kept as an oracle."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def ngrams_sliced(tokens: list[str], n: int) -> Counter:
+    """The n-gram counter as it was built before, one slice per n-gram."""
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu4_per_order(cand: list[str], ref: list[str]) -> float:
+    """BLEU-4 as it was computed before, counting each order's n-grams anew."""
+    log_sum = 0.0
+    for n in range(1, 5):
+        cand_ngrams = ngrams_sliced(cand, n)
+        total = sum(cand_ngrams.values())
+        if total == 0:
+            return 0.0
+        ref_ngrams = ngrams_sliced(ref, n)
+        clipped = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
+        if clipped == 0:
+            if n == 1:
+                return 0.0
+            precision = 1.0 / (2.0 * total)
+        else:
+            precision = clipped / total
+        log_sum += math.log(precision)
+    bp = 1.0 if len(cand) > len(ref) else math.exp(1.0 - len(ref) / len(cand))
+    return bp * math.exp(log_sum / 4.0)
+
+
+def prf(overlap: int, cand_total: int, ref_total: int) -> RougeScore:
+    p = overlap / cand_total if cand_total else 0.0
+    r = overlap / ref_total if ref_total else 0.0
+    return RougeScore(precision=p, recall=r, f1=2 * p * r / (p + r) if p + r > 0 else 0.0)
+
+
+def rouge_n_per_metric(cand: list[str], ref: list[str], n: int) -> RougeScore:
+    cand_ngrams, ref_ngrams = ngrams_sliced(cand, n), ngrams_sliced(ref, n)
+    overlap = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
+    return prf(overlap, sum(cand_ngrams.values()), sum(ref_ngrams.values()))
+
+
+def score_per_metric(candidate: str, reference: str) -> MetricReport:
+    """``score`` assembled from the oracles above: every metric counts its
+    own n-grams and ROUGE-L runs the dynamic program."""
+    cand, ref = metric_tokens(candidate), metric_tokens(reference)
+    target = normalize(analyze(reference))
+    cand_vec = normalize(analyze(candidate))
+    return MetricReport(
+        css=css(cand_vec, target),
+        bleu4=bleu4_per_order(cand, ref),
+        rouge1=rouge_n_per_metric(cand, ref, 1),
+        rouge2=rouge_n_per_metric(cand, ref, 2),
+        rougeL=prf(lcs_length_dp(cand, ref), len(cand), len(ref)),
+        style_loss=style_loss(candidate, target),
+    )
 
 
 def vec(values) -> StyleVector:
@@ -298,3 +372,51 @@ def test_score_identity_pair():
     assert report.bleu4 == pytest.approx(1.0)
     assert report.rougeL.f1 == pytest.approx(1.0)
     assert report.style_loss == 0.0
+
+
+# -- exactness of the fast paths ------------------------------------------------------
+
+
+def _alphabet_pair(max_len: int):
+    return st.integers(1, 8).flatmap(lambda k: st.tuples(
+        st.lists(st.integers(0, k - 1).map(str), max_size=max_len),
+        st.lists(st.integers(0, k - 1).map(str), max_size=max_len),
+    ))
+
+
+@given(_alphabet_pair(300))
+@settings(max_examples=150, deadline=None)
+def test_lcs_matches_the_dynamic_program(pair):
+    a, b = pair
+    assert lcs_length(a, b) == lcs_length(b, a) == lcs_length_dp(a, b)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 300])
+def test_lcs_at_word_boundaries(n):
+    rng = np.random.default_rng(n)
+    seq = [str(x) for x in rng.integers(0, 4, n)]
+    other = [str(x) for x in rng.integers(0, 4, n + 1)]
+    assert lcs_length(seq, seq) == n
+    assert lcs_length(seq, [str(x + 4) for x in range(n)]) == 0
+    assert lcs_length(seq, []) == lcs_length([], seq) == 0
+    assert lcs_length(seq, other) == lcs_length(other, seq) == lcs_length_dp(seq, other)
+    assert lcs_length(seq, seq[1:]) == n - 1
+
+
+# Twenty stdlib modules of at least 2 KB, each lexed as the metrics lex it,
+# in pairs; the first 600 tokens of each keep the dynamic program quick.
+STDLIB_STREAMS = [metric_tokens(p.read_text(encoding="utf-8"))[:600]
+                  for p in sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
+                  if p.stat().st_size >= 2_000][:20]
+
+
+@pytest.mark.parametrize("i", range(0, 20, 2))
+def test_lcs_on_stdlib_token_streams(i):
+    a, b = STDLIB_STREAMS[i], STDLIB_STREAMS[i + 1]
+    assert lcs_length(a, b) == lcs_length_dp(a, b)
+
+
+def test_score_equals_the_per_metric_report_on_archetype_pairs():
+    files = [source for _, source, _ in make_corpus(n_files=60, seed=4)]
+    for cand, ref in zip(files[::2], files[1::2]):
+        assert score(cand, ref) == score_per_metric(cand, ref)

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,17 +424,96 @@ def test_checkpoint_truncated_blob(tmp_path):
         checkpoint.load(path)
 
 
-def test_checkpoint_caps_mismatch(tmp_path):
-    import json
-    import struct
-
-    path = tmp_path / "m.ckpt"
-    checkpoint.save(fresh_model(), path)
+def _edit_header(path, edit):
     data = path.read_bytes()
     (hlen,) = struct.unpack("<I", data[4:8])
-    header = json.loads(data[8:8 + hlen])
-    header["caps"]["name_length"] = 99.0
+    header = edit(json.loads(data[8:8 + hlen]))
     raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path.write_bytes(data[:4] + struct.pack("<I", len(raw)) + raw + data[8 + hlen:])
+
+
+def test_checkpoint_caps_mismatch(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(fresh_model(), path)
+    _edit_header(path, lambda header: {**header, "caps": {**header["caps"], "name_length": 99.0}})
     with pytest.raises(checkpoint.SchemaVersionMismatch):
         checkpoint.load(path)
+
+
+def _without_code_b2(header):
+    header["tensors"] = [e for e in header["tensors"] if e["name"] != "code.b2"]
+    return header
+
+
+def _emb_listed_twice(header):
+    header["tensors"].append(header["tensors"][0])
+    return header
+
+
+def _code_dims(**dims):
+    def edit(header):
+        header["dims"]["code"].update(dims)
+        for entry in header["tensors"]:
+            if entry["name"] == "code.emb":
+                entry["shape"] = [dims.get("vocab", 64), dims.get("embed_dim", 8)]
+        return header
+    return edit
+
+
+def _hash_seed(value):
+    return lambda header: {**header, "hash_seed": value}
+
+
+BAD_LAYOUTS = {
+    "tensor_missing": (_without_code_b2, checkpoint.SchemaVersionMismatch),
+    "tensor_listed_twice": (_emb_listed_twice, checkpoint.SchemaVersionMismatch),
+    "vocab_negative": (_code_dims(vocab=-64), checkpoint.MalformedHeader),
+    "vocab_not_an_int": (_code_dims(vocab=64.5), checkpoint.MalformedHeader),
+    "hash_seed_negative": (_hash_seed(-1), checkpoint.MalformedHeader),
+    "hash_seed_not_a_number": (_hash_seed("x"), checkpoint.MalformedHeader),
+    "vocab_larger_than_the_file": (_code_dims(vocab=65), checkpoint.TruncatedBlob),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LAYOUTS))
+def test_checkpoint_bad_layout(tmp_path, case):
+    edit, error = BAD_LAYOUTS[case]
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(fresh_model(), path)
+    _edit_header(path, edit)
+    with pytest.raises(error):
+        checkpoint.load(path)
+
+
+def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
+    model = fresh_model(2)
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(model, path)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    loaded = checkpoint.load(path)
+    for tower, other in ((model.style, loaded.style), (model.code, loaded.code)):
+        assert list(tower.params) == list(other.params)
+        assert all(np.array_equal(tower.params[k], other.params[k]) for k in tower.params)
+    assert loaded.code.hash_seed == model.code.hash_seed
+
+
+def test_checkpoint_huge_declared_size_fails_before_allocating(tmp_path):
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(fresh_model(), path)
+    # 100,000 x 128 weights: about 51 MB as float32, and the file holds 7 KB.
+    _edit_header(path, _code_dims(vocab=100_000, embed_dim=128))
+    _edit_header(path, lambda header: {**header, "tensors": [
+        {**e, "shape": [8, 128]} if e["name"] == "code.w1" else e
+        for e in header["tensors"]]})
+    tracemalloc.start()
+    try:
+        with pytest.raises(checkpoint.TruncatedBlob):
+            checkpoint.load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
