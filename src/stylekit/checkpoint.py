@@ -5,9 +5,11 @@ UTF-8 JSON header, then raw little-endian float blobs in the order the
 header's tensor manifest declares. The header pins the analyzer schema
 and normalization caps so a checkpoint cannot be silently paired with a
 different feature space. ``save -> load -> save`` is byte-identical.
-``load`` checks every manifest shape against the header's dimensions and
-their total size against the file before it allocates, then builds the
-towers from the blobs without drawing any random weights.
+One function builds the tensor manifest from the towers' parameter
+shapes, for ``save`` and for ``load``: ``load`` accepts exactly the
+manifest ``save`` writes for the header's dimensions, checks its total
+size against the file before it allocates, then builds the towers from the
+blobs without drawing any random weights.
 """
 
 from __future__ import annotations
@@ -47,20 +49,15 @@ class MalformedHeader(CheckpointError):
     """A header field that is missing or malformed, or towers it cannot build."""
 
 
-def _tensor_manifest(model: EncoderModel) -> list[dict]:
-    entries = []
-    for prefix, tower in (("style", model.style), ("code", model.code)):
-        for name in sorted(tower.params):
-            arr = tower.params[name]
-            entries.append({
-                "name": f"{prefix}.{name}",
-                "shape": list(arr.shape),
-                "dtype": "<f8" if arr.dtype == np.float64 else "<f4",
-            })
-    return entries
+def _tensor_manifest(shapes: dict[str, dict[str, tuple]], dtype) -> list[dict]:
+    """The header's tensor list for towers of these parameter shapes (by
+    prefix, ``style`` first) and one dtype: each tower's tensors by name."""
+    label = "<f8" if dtype == np.float64 else "<f4"
+    return [{"name": f"{prefix}.{name}", "shape": list(tower[name]), "dtype": label}
+            for prefix, tower in shapes.items() for name in sorted(tower)]
 
 
-def _header(model: EncoderModel) -> dict:
+def _header(model: EncoderModel, manifest: list[dict]) -> dict:
     return {
         "schema": SCHEMA,
         "dims": {
@@ -74,50 +71,26 @@ def _header(model: EncoderModel) -> dict:
         },
         "hash_seed": model.code.hash_seed,
         "caps": {k: NORMALIZATION_CAPS[k] for k in sorted(NORMALIZATION_CAPS)},
-        "tensors": _tensor_manifest(model),
+        "tensors": manifest,
     }
 
 
 def save(model: EncoderModel, path: str | Path) -> None:
-    header = json.dumps(_header(model), sort_keys=True,
+    if model.style.dtype != model.code.dtype:
+        raise ValueError(f"the towers' dtypes differ: {model.style.dtype} and {model.code.dtype}")
+    towers = {"style": model.style.params, "code": model.code.params}
+    manifest = _tensor_manifest(
+        {prefix: {name: arr.shape for name, arr in params.items()}
+         for prefix, params in towers.items()}, model.style.dtype)
+    header = json.dumps(_header(model, manifest), sort_keys=True,
                         separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    with path.open("wb") as fh:
+    with Path(path).open("wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header)))
         fh.write(header)
-        for entry in _tensor_manifest(model):
+        for entry in manifest:
             prefix, name = entry["name"].split(".", 1)
-            tower = model.style if prefix == "style" else model.code
-            arr = np.ascontiguousarray(tower.params[name])
-            fh.write(arr.astype(entry["dtype"], copy=False).tobytes())
-
-
-def _layout(header: dict) -> tuple[dict, dict, list[tuple[str, tuple, np.dtype]]]:
-    """The towers' sizes and the manifest's tensors, read from the header;
-    every shape is checked against the sizes before anything is allocated."""
-    dims = header["dims"]
-    style_dims = {"layers": dims["style_layers"]}
-    code_dims = {k: dims["code"][k] for k in ("vocab", "embed_dim", "hidden_dim", "out_dim")}
-    expected = {f"style.{name}": shape
-                for name, shape in StyleTower.param_shapes(**style_dims).items()}
-    expected.update({f"code.{name}": shape
-                     for name, shape in CodeTower.param_shapes(**code_dims).items()})
-    if expected["style.br"] != expected["code.b2"]:
-        raise ValueError(f"style width {expected['style.br'][0]} "
-                         f"!= code width {expected['code.b2'][0]}")
-    tensors = [(str(entry["name"]), tuple(int(d) for d in entry["shape"]),
-                _DTYPES[entry["dtype"]]) for entry in header["tensors"]]
-    for name, shape, _ in tensors:
-        if name not in expected:
-            raise SchemaVersionMismatch(f"unknown tensor {name!r}")
-        if expected[name] != shape:
-            raise SchemaVersionMismatch(f"tensor {name!r} shape {shape} does not fit the model")
-    if sorted(name for name, _, _ in tensors) != sorted(expected):
-        raise SchemaVersionMismatch("the manifest must list each tensor of the model once")
-    code_dims["hash_seed"] = header["hash_seed"]
-    CodeTower.hash_key(code_dims["hash_seed"])
-    return style_dims, code_dims, tensors
+            fh.write(towers[prefix][name].astype(entry["dtype"], copy=False).tobytes())
 
 
 def load(path: str | Path) -> EncoderModel:
@@ -144,25 +117,39 @@ def load(path: str | Path) -> EncoderModel:
     if header.get("caps") != caps:
         raise SchemaVersionMismatch("normalization caps do not match this analyzer")
 
+    # Header fields that are missing or of the wrong type or value, the
+    # towers' own checks of their sizes and hash seed included.
     try:
-        style_dims, code_dims, tensors = _layout(header)
+        dims = header["dims"]
+        style_dims = {"layers": dims["style_layers"]}
+        code_dims = {k: dims["code"][k] for k in ("vocab", "embed_dim", "hidden_dim", "out_dim")}
+        shapes = {"style": StyleTower.param_shapes(**style_dims),
+                  "code": CodeTower.param_shapes(**code_dims)}
+        if shapes["style"]["br"] != shapes["code"]["b2"]:
+            raise ValueError(f"style width {shapes['style']['br'][0]} "
+                             f"!= code width {shapes['code']['b2'][0]}")
+        tensors = header["tensors"]
+        dtype = _DTYPES[tensors[0]["dtype"] if tensors else "<f4"]
+        manifest = _tensor_manifest(shapes, dtype)
+        if tensors != manifest:
+            raise SchemaVersionMismatch("the tensor manifest is not the one save writes "
+                                        "for the header's dims")
+        counts = [math.prod(entry["shape"]) for entry in manifest]
+        needed = sum(counts) * dtype.itemsize
+        if needed != len(blob) - header_end:
+            raise TruncatedBlob(f"{path}: the tensors take {needed} bytes, "
+                                f"the file holds {len(blob) - header_end} after the header")
+        params: dict[str, dict[str, np.ndarray]] = {"style": {}, "code": {}}
+        offset = header_end
+        for entry, count in zip(manifest, counts):
+            prefix, name = entry["name"].split(".", 1)
+            params[prefix][name] = np.frombuffer(
+                blob, dtype=dtype, count=count, offset=offset).reshape(entry["shape"]).copy()
+            offset += count * dtype.itemsize
+        return EncoderModel(
+            style=StyleTower(**style_dims, dtype=dtype, params=params["style"]),
+            code=CodeTower(**code_dims, hash_seed=header["hash_seed"], dtype=dtype,
+                           params=params["code"]),
+        )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MalformedHeader(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
-    counts = [math.prod(shape) for _, shape, _ in tensors]
-    needed = sum(count * dt.itemsize for count, (_, _, dt) in zip(counts, tensors))
-    if needed != len(blob) - header_end:
-        raise TruncatedBlob(f"{path}: the tensors take {needed} bytes, "
-                            f"the file holds {len(blob) - header_end} after the header")
-
-    params: dict[str, dict[str, np.ndarray]] = {"style": {}, "code": {}}
-    offset = header_end
-    for count, (full_name, shape, dt) in zip(counts, tensors):
-        prefix, _, name = full_name.partition(".")
-        params[prefix][name] = np.frombuffer(
-            blob, dtype=dt, count=count, offset=offset).reshape(shape).copy()
-        offset += count * dt.itemsize
-    dtype = np.float64 if tensors[0][2].itemsize == 8 else np.float32
-    return EncoderModel(
-        style=StyleTower.from_params(params["style"], **style_dims, dtype=dtype),
-        code=CodeTower.from_params(params["code"], **code_dims, dtype=dtype),
-    )

@@ -9,6 +9,7 @@ one batch so in-batch negatives really are cross-file.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MalformedRecord, json_record
+from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, json_record
 from .features import analyze, normalize
 from .lexer import lex
 from .nn import (
@@ -95,9 +96,21 @@ class TrainConfig:
 
 def extract_snippets(source: str) -> list[str]:
     """Style-identical sub-snippets: def/loop bodies and comment blocks
-    of at least MIN_SNIPPET_LINES non-blank lines, in line order."""
+    of at least MIN_SNIPPET_LINES non-blank lines, in line order.
+
+    A def or loop body of more than ``corpus.DEFAULT_MAX_TOKENS`` tokens
+    (comments included, Newline/Indent/Dedent not; a token counts on its
+    first line) is skipped, as the corpus skips such a file. That bounds the
+    output: n nested loops would otherwise give n bodies of up to n lines.
+    """
     doc = SourceDoc.of(source, lenient=True)
-    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.stmts)]
+    upto = [0] * (len(doc.lines) + 1)  # upto[n]: tokens on lines 1..n
+    for tok in doc.tokens:
+        if not tok.is_synthetic():
+            upto[tok.line] += 1
+    upto = list(itertools.accumulate(upto))
+    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.stmts)
+             if upto[span.body_end] - upto[span.body_start - 1] <= DEFAULT_MAX_TOKENS]
     lines = doc.lines
     profile = doc.profile
     run_start = None

@@ -33,6 +33,21 @@ split and parse. Layout reads comment lines from the line profile and
 lenient parsing skips counts in neither. Identifiers, the line profile and
 the module pseudo-function read the doc in its own mode, strict included:
 a strict lex or parse that succeeds equals the lenient one.
+
+The function records are held to the stdlib ``ast`` on valid code
+(``tests/test_ast_oracle.py``). ``body_line_span`` runs from the first line
+of a def's first body statement (its first decorator, if any) to the last
+line of the body's last simple statement, nested defs included; no
+divergence is known. ``max_call_depth`` counts call nesting through
+arguments only, so ``a().b()`` has depth 1, and an f-string is one token,
+so calls in its fields do not count. Its intended divergences, both from
+reading tokens rather than a tree:
+
+* a paren right after the soft keywords ``match`` and ``case``, and a class
+  pattern such as ``case P(x):``, count as calls;
+* a call directly on a literal, a keyword constant or a ``{...}`` display
+  (``"{}"(x)``, ``1(x)``, ``None(x)``, ``{}(x)``) does not count; each would
+  fail at run time.
 """
 
 from __future__ import annotations

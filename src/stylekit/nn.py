@@ -10,6 +10,11 @@ Two encoders share one 1024-dim embedding space:
 * ``CodeTower`` hashes tokens into an 8192-bucket embedding table
   (128-dim), mean-pools, then projects 128 -> 512 -> 1024 with one ReLU.
 
+Each tower has one constructor. Without ``params`` it draws seeded
+weights; with ``params`` it holds those arrays, which must have exactly the
+shapes ``param_shapes`` gives for its sizes, and draws nothing (a
+checkpoint load builds its towers this way).
+
 Training runs in float32; float64 is for gradient checking. Forward
 passes are deterministic for fixed weights and inputs.
 
@@ -83,8 +88,14 @@ class StyleTower:
 
     DEFAULT_LAYERS = (34, 128, 512, 768, 1024)
 
-    def __init__(self, seed: int = 0, layers=DEFAULT_LAYERS, dtype=np.float32):
-        shapes = self._set_dims(layers, dtype)
+    def __init__(self, seed: int = 0, layers=DEFAULT_LAYERS, dtype=np.float32,
+                 params: dict[str, np.ndarray] | None = None):
+        self.layers = _positive_dims(layers)
+        self.dtype = np.dtype(dtype)
+        shapes = self.param_shapes(self.layers)
+        if params is not None:
+            self.params = _fitted(params, shapes)
+            return
         rng = np.random.default_rng(seed)
         # w1..w4, then the residual projection wr from the second hidden
         # activation; biases start at zero.
@@ -93,19 +104,6 @@ class StyleTower:
                    else np.zeros(shape, dtype=self.dtype))
             for name, shape in shapes.items()
         }
-
-    @classmethod
-    def from_params(cls, params: dict[str, np.ndarray], layers=DEFAULT_LAYERS,
-                    dtype=np.float32) -> StyleTower:
-        """A tower of these sizes holding ``params`` as its weights; no draw."""
-        tower = cls.__new__(cls)
-        tower.params = _fitted(params, tower._set_dims(layers, dtype))
-        return tower
-
-    def _set_dims(self, layers, dtype) -> dict[str, tuple[int, ...]]:
-        self.layers = _positive_dims(layers)
-        self.dtype = np.dtype(dtype)
-        return self.param_shapes(self.layers)
 
     @staticmethod
     def param_shapes(layers) -> dict[str, tuple[int, ...]]:
@@ -120,10 +118,6 @@ class StyleTower:
         shapes["wr"] = (layers[4], layers[2])
         shapes["br"] = (layers[4],)
         return shapes
-
-    @property
-    def in_dim(self) -> int:
-        return self.layers[0]
 
     @property
     def out_dim(self) -> int:
@@ -142,8 +136,8 @@ class StyleTower:
         squeeze = s.ndim == 1
         if squeeze:
             s = s[None, :]
-        if s.shape[1] != self.in_dim:
-            raise DimensionMismatch(f"expected {self.in_dim} features, got {s.shape[1]}")
+        if s.shape[1] != self.layers[0]:
+            raise DimensionMismatch(f"expected {self.layers[0]} features, got {s.shape[1]}")
         p = self.params
         z1 = s @ p["w1"].T + p["b1"]
         h1 = np.maximum(z1, 0)
@@ -196,8 +190,17 @@ class CodeTower:
 
     def __init__(self, seed: int = 0, vocab: int = 8192, embed_dim: int = 128,
                  hidden_dim: int = 512, out_dim: int = 1024, hash_seed: int = 0,
-                 dtype=np.float32):
-        self._set_dims(vocab, embed_dim, hidden_dim, out_dim, hash_seed, dtype)
+                 dtype=np.float32, params: dict[str, np.ndarray] | None = None):
+        dims = _positive_dims((vocab, embed_dim, hidden_dim, out_dim))
+        self.vocab, self.embed_dim, self.hidden_dim, self.out_dim = dims
+        self.hash_seed = hash_seed
+        # the blake2b key of ``bucket``; a seed outside [0, 2**64) raises
+        self._key = int(hash_seed).to_bytes(8, "little", signed=False)
+        self.dtype = np.dtype(dtype)
+        shapes = self.param_shapes(*dims)
+        if params is not None:
+            self.params = _fitted(params, shapes)
+            return
         rng = np.random.default_rng(seed)
         self.params = {
             "emb": (rng.uniform(-1.0, 1.0, size=(vocab, embed_dim))
@@ -207,30 +210,6 @@ class CodeTower:
             "w2": _kaiming_uniform(rng, hidden_dim, (out_dim, hidden_dim), self.dtype),
             "b2": np.zeros(out_dim, dtype=self.dtype),
         }
-
-    @classmethod
-    def from_params(cls, params: dict[str, np.ndarray], vocab: int = 8192,
-                    embed_dim: int = 128, hidden_dim: int = 512, out_dim: int = 1024,
-                    hash_seed: int = 0, dtype=np.float32) -> CodeTower:
-        """A tower of these sizes holding ``params`` as its weights; no draw."""
-        tower = cls.__new__(cls)
-        tower.params = _fitted(params, tower._set_dims(
-            vocab, embed_dim, hidden_dim, out_dim, hash_seed, dtype))
-        return tower
-
-    def _set_dims(self, vocab, embed_dim, hidden_dim, out_dim, hash_seed,
-                  dtype) -> dict[str, tuple[int, ...]]:
-        dims = _positive_dims((vocab, embed_dim, hidden_dim, out_dim))
-        self.vocab, self.embed_dim, self.hidden_dim, self.out_dim = dims
-        self.hash_seed = hash_seed
-        self.dtype = np.dtype(dtype)
-        self._key = self.hash_key(hash_seed)
-        return self.param_shapes(*dims)
-
-    @staticmethod
-    def hash_key(hash_seed: int) -> bytes:
-        """The blake2b key of ``bucket``; a seed outside [0, 2**64) raises."""
-        return int(hash_seed).to_bytes(8, "little", signed=False)
 
     @staticmethod
     def param_shapes(vocab: int, embed_dim: int, hidden_dim: int,
@@ -307,7 +286,7 @@ class CodeTower:
 
 @dataclass
 class EncoderModel:
-    """The trained pair of towers plus the shared hashing seed."""
+    """The trained pair of towers; the hashing seed is ``code.hash_seed``."""
     style: StyleTower
     code: CodeTower
 

@@ -16,9 +16,18 @@ skipped, classes not):
 * ``has_try``: any ``Try`` node;
 * ``except_clauses``: per handler in source order, bare with no type,
   generic for a lone ``Exception`` or ``BaseException`` name, and
-  specific otherwise.
+  specific otherwise;
+* ``body_line_span``: from the first line of the def's first body
+  statement (its first decorator, if it has any) to the last line of the
+  last simple statement anywhere in the body, nested defs included;
+* ``max_call_depth``: the deepest ``Call`` nesting in the header's
+  parameters and return annotation and in the body, nested defs skipped
+  but their decorators not. A call's depth is 1 plus the deepest call in
+  its arguments, not in the called expression, so ``a().b()`` has depth 1;
+  an f-string is opaque.
 
-``body_line_span`` and ``max_call_depth`` are not checked here.
+The intended divergences listed in the ``stylekit.features`` docstring are
+pinned by ``test_listed_call_depth_divergences``.
 """
 
 from __future__ import annotations
@@ -36,6 +45,8 @@ STDLIB = [p for p in sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
 
 
 _CONTROLS = (ast.For, ast.AsyncFor, ast.While, ast.With, ast.AsyncWith, ast.Try)
+_COMPOUND = (*_CONTROLS, ast.If, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+             ast.Match, getattr(ast, "TryStar", ast.Try))  # ``except*`` is 3.11+
 
 
 def oracle_counters(func: ast.AST, lines: list[str]) -> tuple:
@@ -69,6 +80,29 @@ def oracle_counters(func: ast.AST, lines: list[str]) -> tuple:
     return returns, branches, controls, has_try, kinds
 
 
+def oracle_span(func: ast.AST) -> int:
+    simple = [node for node in ast.walk(ast.Module(body=func.body, type_ignores=[]))
+              if isinstance(node, ast.stmt) and not isinstance(node, _COMPOUND)]
+    first = func.body[0]  # every block bottoms out in a simple statement
+    lo = min([first.lineno, *(d.lineno for d in getattr(first, "decorator_list", ()))])
+    return max(node.end_lineno for node in simple) - lo + 1
+
+
+def call_depth(node: ast.AST) -> int:
+    if isinstance(node, ast.JoinedStr):
+        return 0
+    if isinstance(node, ast.Call):
+        inner = max(map(call_depth, [*node.args, *node.keywords]), default=0)
+        return max(1 + inner, call_depth(node.func))
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return max(map(call_depth, node.decorator_list), default=0)
+    return max(map(call_depth, ast.iter_child_nodes(node)), default=0)
+
+
+def oracle_call_depth(func: ast.AST) -> int:
+    return max(map(call_depth, [func.args, *filter(None, [func.returns]), *func.body]))
+
+
 def oracle_records(tree: ast.Module, source: str) -> list[tuple]:
     lines = source.split("\n")
     defs = sorted(
@@ -87,6 +121,8 @@ def oracle_records(tree: ast.Module, source: str) -> list[tuple]:
             node.returns is not None,
             ast.get_docstring(node, clean=False) is not None,
             *oracle_counters(node, lines),
+            oracle_span(node),
+            oracle_call_depth(node),
         ))
     return out
 
@@ -95,7 +131,8 @@ def our_records(source: str) -> list[tuple]:
     return [
         (rec.name, tuple((p.name, p.has_annotation) for p in rec.params),
          rec.has_return_annotation, rec.has_docstring, rec.return_count,
-         rec.branch_count, rec.control_count, rec.has_try, rec.except_clauses)
+         rec.branch_count, rec.control_count, rec.has_try, rec.except_clauses,
+         rec.body_line_span, rec.max_call_depth)
         for rec in parse_functions(source)
     ]
 
@@ -126,9 +163,44 @@ CASES = [
     "async def f(x):\n    async for i in x:\n        async with i: return i\n"
     "    try: pass\n    except (ValueError, Exception): pass\n"
     "    except BaseException as e: raise\n    except Exception: pass\n",
+    # decorators open a body, and a body can end inside a nested def
+    "def f():\n    @a(\n        b(c()))\n    class C(B(x), metaclass=M(y(z))):\n"
+    "        def g(self, k=h(i())): pass\n    def h():\n        return (1,\n"
+    "                2)\n",
+    # call depth, one rule per def: through arguments and not the called
+    # expression, f-strings opaque, defaults and annotations in the header
+    "def f1(a=lambda: g(h())): pass\n"
+    "def f2(*, b: t(u(v())) = 1): pass\n"
+    "def f3() -> r(s()): pass\n"
+    "def f4(): return a().b()\n"
+    "def f5(): return a()[0](c(d()))\n"
+    "def f6(): return (p)(q(r))\n"
+    "def f7(): return f'{e(f(g()))}'.join(k(*m()))\n"
+    "def f8(): return {k: v() for k, v in w(x())}\n"
+    "def f9(): return j[k():l(m())]\n",
+    "async def f():\n    async with a(b()) as c, d(e(f())) as g:\n"
+    "        await (h)(i())\n",
 ]
 
 
 @pytest.mark.parametrize("source", CASES)
 def test_hand_written_cases_match_ast(source):
     assert our_records(source) == oracle_records(ast.parse(source), source)
+
+
+# Intended divergences of ``max_call_depth`` from the oracle, each listed in
+# the ``stylekit.features`` docstring: (source, ours, the oracle's).
+CALL_DEPTH_DIVERGENCES = [
+    # ``match`` and ``case`` are names to the lexer, so a paren after them,
+    # and a class pattern, count as calls
+    ("def f(x):\n    match (x):\n        case P(Q(y)):\n            pass\n", 2, 0),
+    # a call on a literal, a keyword constant or a ``{...}`` display does not count
+    ("def f():\n    return g('{}'(x), 1(y), None(w), {}(z))\n", 1, 2),
+]
+
+
+@pytest.mark.parametrize("source, ours, oracle", CALL_DEPTH_DIVERGENCES)
+def test_listed_call_depth_divergences(source, ours, oracle):
+    [rec] = parse_functions(source)
+    func = ast.parse(source).body[0]
+    assert (rec.max_call_depth, oracle_call_depth(func)) == (ours, oracle)

@@ -24,7 +24,7 @@ from stylekit.contrastive import (
     recall_at_k,
     train,
 )
-from stylekit.corpus import from_sources
+from stylekit.corpus import DEFAULT_MAX_TOKENS, from_sources, token_count
 from stylekit.nn import l2_normalize
 
 THREE_FUNCS = (
@@ -71,6 +71,18 @@ def test_extract_snippets_span_after_form_feed():
 def test_extract_snippets_minimum_three_nonblank_lines():
     src = "def tiny(x):\n    return x\n"
     assert extract_snippets(src) == []
+
+
+def test_extract_snippets_skips_bodies_over_the_corpus_token_cap():
+    depth = 100
+    src = "".join("    " * i + f"for i{i} in x:\n" for i in range(depth)) + "    " * depth + "y = 1\n"
+    # A body of k loop headers (5 tokens each) and ``y = 1`` has 5k + 3
+    # tokens: k = 75 is exactly at the cap, and below k = 2 it is too short.
+    assert 5 * 75 + 3 == DEFAULT_MAX_TOKENS
+    assert [token_count(s) for s in extract_snippets(src)] == [5 * k + 3 for k in range(75, 1, -1)]
+    # one def over the cap is skipped, its small neighbour kept
+    big = "def big():\n" + "".join(f"    v{i} = {i}\n" for i in range(130))  # 390 tokens
+    assert extract_snippets(big + THREE_FUNCS) == extract_snippets(THREE_FUNCS)
 
 
 def test_build_pairs_one_per_snippet():

@@ -464,6 +464,30 @@ def _hash_seed(value):
     return lambda header: {**header, "hash_seed": value}
 
 
+def _first_two_swapped(header):
+    header["tensors"][:2] = header["tensors"][1::-1]
+    return header
+
+
+def _style_b1_as_f8(header):
+    assert header["tensors"][0]["name"] == "style.b1"
+    header["tensors"][0]["dtype"] = "<f8"
+    return header
+
+
+def _follow_manifest(path, model):
+    """Rewrite the payload as ``model``'s tensors in the order and dtypes of
+    the file's manifest, so that only the manifest differs from ``save``'s."""
+    data = path.read_bytes()
+    (hlen,) = struct.unpack("<I", data[4:8])
+    towers = {"style": model.style.params, "code": model.code.params}
+    payload = b"".join(
+        towers[prefix][name].astype(entry["dtype"]).tobytes()
+        for entry in json.loads(data[8:8 + hlen])["tensors"]
+        for prefix, name in [entry["name"].split(".", 1)])
+    path.write_bytes(data[:8 + hlen] + payload)
+
+
 BAD_LAYOUTS = {
     "tensor_missing": (_without_code_b2, checkpoint.SchemaVersionMismatch),
     "tensor_listed_twice": (_emb_listed_twice, checkpoint.SchemaVersionMismatch),
@@ -472,28 +496,36 @@ BAD_LAYOUTS = {
     "hash_seed_negative": (_hash_seed(-1), checkpoint.MalformedHeader),
     "hash_seed_not_a_number": (_hash_seed("x"), checkpoint.MalformedHeader),
     "vocab_larger_than_the_file": (_code_dims(vocab=65), checkpoint.TruncatedBlob),
+    "manifest_reordered": (_first_two_swapped, checkpoint.SchemaVersionMismatch),
+    "manifest_mixed_dtypes": (_style_b1_as_f8, checkpoint.SchemaVersionMismatch),
 }
+# Manifests that ``save`` never writes, with a payload that follows them:
+# a loader that read each entry on its own terms would accept both.
+PAYLOAD_FOLLOWS = {"manifest_reordered", "manifest_mixed_dtypes"}
 
 
 @pytest.mark.parametrize("case", sorted(BAD_LAYOUTS))
 def test_checkpoint_bad_layout(tmp_path, case):
     edit, error = BAD_LAYOUTS[case]
     path = tmp_path / "m.ckpt"
-    checkpoint.save(fresh_model(), path)
+    model = fresh_model()
+    checkpoint.save(model, path)
     _edit_header(path, edit)
+    if case in PAYLOAD_FOLLOWS:
+        _follow_manifest(path, model)
     with pytest.raises(error):
         checkpoint.load(path)
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("random numbers were drawn")
 
 
 def test_checkpoint_load_draws_no_random_weights(tmp_path, monkeypatch):
     model = fresh_model(2)
     path = tmp_path / "m.ckpt"
     checkpoint.save(model, path)
-
-    def no_draws(*args, **kwargs):
-        raise AssertionError("load drew random numbers")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
     loaded = checkpoint.load(path)
     for tower, other in ((model.style, loaded.style), (model.code, loaded.code)):
         assert list(tower.params) == list(other.params)
@@ -517,3 +549,59 @@ def test_checkpoint_huge_declared_size_fails_before_allocating(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+def test_checkpoint_float64_round_trip_byte_identical(tmp_path):
+    model = EncoderModel(style=StyleTower(seed=5, layers=(34, 8, 8, 8, 16), dtype=np.float64),
+                         code=CodeTower(seed=6, vocab=64, embed_dim=8, hidden_dim=8,
+                                        out_dim=16, hash_seed=5, dtype=np.float64))
+    checkpoint.save(model, tmp_path / "a.ckpt")
+    loaded = checkpoint.load(tmp_path / "a.ckpt")
+    assert loaded.style.dtype == loaded.code.dtype == np.float64
+    assert all(p.dtype == np.float64 for tower in (loaded.style, loaded.code)
+               for p in tower.params.values())
+    checkpoint.save(loaded, tmp_path / "b.ckpt")
+    assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+def test_checkpoint_save_refuses_towers_of_different_dtypes(tmp_path):
+    model = EncoderModel(style=StyleTower(seed=0, layers=(34, 8, 8, 8, 16), dtype=np.float64),
+                         code=fresh_model().code)
+    with pytest.raises(ValueError, match="dtypes differ"):
+        checkpoint.save(model, tmp_path / "m.ckpt")
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+# -- building a tower from given parameters ---------------------------------------
+
+
+TOWER_SIZES = {
+    "style": (StyleTower, {"layers": (34, 8, 8, 8, 16)}),
+    "code": (CodeTower, {"vocab": 32, "embed_dim": 6, "hidden_dim": 8, "out_dim": 10}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TOWER_SIZES))
+def test_tower_given_params_holds_them_and_draws_nothing(monkeypatch, kind):
+    cls, sizes = TOWER_SIZES[kind]
+    params = cls(seed=3, **sizes).params
+    monkeypatch.setattr(np.random, "default_rng", _no_draws)
+    tower = cls(**sizes, params=dict(reversed(params.items())))
+    assert list(tower.params) == list(params)       # creation order, whatever was given
+    assert all(tower.params[name] is params[name] for name in params)
+
+
+@pytest.mark.parametrize("fault", ["missing", "wrong_shape", "extra"])
+@pytest.mark.parametrize("kind", sorted(TOWER_SIZES))
+def test_tower_given_params_that_do_not_fit_raise(kind, fault):
+    cls, sizes = TOWER_SIZES[kind]
+    params = dict(cls(seed=3, **sizes).params)
+    name = next(iter(params))
+    if fault == "missing":
+        del params[name]
+    elif fault == "wrong_shape":
+        params[name] = params[name][:-1]
+    else:
+        params["extra"] = params[name]
+    with pytest.raises(ShapeMismatch):
+        cls(**sizes, params=params)
