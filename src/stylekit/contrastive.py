@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, json_record
+from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, jsonl_objects
 from .features import analyze, normalize
 from .lexer import lex
 from .nn import (
@@ -178,16 +178,12 @@ def pairs_to_jsonl(pairs: list[ContrastivePair], path: str | Path) -> None:
 def pairs_from_jsonl(path: str | Path) -> list[ContrastivePair]:
     names = [f.name for f in fields(ContrastivePair)]
     pairs = []
-    with Path(path).open("r", encoding="utf-8-sig") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            doc = json_record(line_no, line)
-            values = [doc.get(name) for name in names]
-            if not all(isinstance(v, str) for v in values):
-                raise MalformedRecord(
-                    line_no, f"{', '.join(names[:-1])} and {names[-1]} must be strings")
-            pairs.append(ContrastivePair(*values))
+    for line_no, doc in jsonl_objects(path):
+        values = [doc.get(name) for name in names]
+        if not all(isinstance(v, str) for v in values):
+            raise MalformedRecord(
+                line_no, f"{', '.join(names[:-1])} and {names[-1]} must be strings")
+        pairs.append(ContrastivePair(*values))
     return pairs
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import SCHEMA, StyleVector, analyze, normalize
+from .features import REGISTRY, SCHEMA, EmptySource, StyleVector, analyze, normalize
 from .lexer import LexError
 from .syntax import SourceDoc, SyntaxUnsupported
 
@@ -72,6 +72,14 @@ def json_record(line_no: int, raw: str) -> dict:
     if not isinstance(doc, dict):
         raise MalformedRecord(line_no, "record is not an object")
     return doc
+
+
+def jsonl_objects(path: str | Path):
+    """(line_no, object) for each non-blank line of a JSONL file, by :func:`json_record`."""
+    with Path(path).open("r", encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            if raw.strip():
+                yield line_no, json_record(line_no, raw)
 
 
 def token_count(text: str) -> int:
@@ -191,7 +199,7 @@ def precompute_styles(corpus: CorpusFile) -> CorpusFile:
         if vec is None:
             try:
                 vec = normalize(analyze(rec.code2))
-            except (LexError, SyntaxUnsupported, ValueError) as exc:
+            except (LexError, SyntaxUnsupported, EmptySource) as exc:
                 errors[rec.id] = f"{type(exc).__name__}: {exc}"
         records.append(replace(rec, style_vec=vec))
     manifest = replace(deepcopy(corpus.manifest), style_errors=errors)
@@ -215,23 +223,25 @@ def save_jsonl(corpus: CorpusFile, path: str | Path) -> None:
 
 
 def load_jsonl(path: str | Path) -> CorpusFile:
+    """A corpus as :func:`save_jsonl` writes it. :class:`MalformedRecord` names a line
+    without ``id``, ``code1`` or ``code2``, with non-string code or a bad ``style_vec``."""
     path = Path(path)
     records = []
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            if not raw.strip():
-                continue
-            doc = json_record(line_no, raw)
-            vec = doc.get("style_vec")
-            try:
-                records.append(CorpusRecord(
-                    id=str(doc["id"]),
-                    code1=doc["code1"],
-                    code2=doc["code2"],
-                    style_vec=StyleVector(values=tuple(vec)) if vec else None,
-                ))
-            except KeyError as exc:
-                raise MalformedRecord(line_no, f"missing {exc.args[0]!r}") from exc
+    for line_no, doc in jsonl_objects(path):
+        try:
+            rec = CorpusRecord(str(doc["id"]), doc["code1"], doc["code2"])
+        except KeyError as exc:
+            raise MalformedRecord(line_no, f"missing {exc.args[0]!r}") from exc
+        if not (isinstance(rec.code1, str) and isinstance(rec.code2, str)):
+            raise MalformedRecord(line_no, "code1/code2 must be strings")
+        vec = doc.get("style_vec")
+        if vec is not None:
+            if not (isinstance(vec, list) and len(vec) == len(REGISTRY) and all(
+                    type(v) in (int, float) and 0.0 <= v <= 1.0 for v in vec)):
+                raise MalformedRecord(
+                    line_no, f"style_vec must be {len(REGISTRY)} numbers in [0, 1]")
+            rec.style_vec = StyleVector(values=tuple(vec))
+        records.append(rec)
     manifest_path = path.with_suffix(path.suffix + ".manifest.json")
     doc = json.loads(manifest_path.read_text(encoding="utf-8")) if manifest_path.exists() else {}
     manifest = Manifest(**{f.name: doc[f.name] for f in fields(Manifest) if f.name in doc})

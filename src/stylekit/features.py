@@ -57,12 +57,14 @@ import io
 import json
 import re
 import string
+from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
 from .lexer import (_BLANKS_RE, _CLOSERS, TAB_WIDTH, Token, TokenKind, bracket_depths,
                     normalize_newlines, split_lines)
 from .syntax import (
+    ExceptKind,
     FunctionInfo,
     SourceDoc,
     Stmt,
@@ -136,11 +138,9 @@ class IdentifierRecord:
 
 
 @dataclass(frozen=True)
-class StyleVectorRaw:
-    """Feature values in natural units (chars, counts, ratios)."""
+class _Vector:
+    """34 feature values in registry order."""
     values: tuple[float, ...]
-    warnings: tuple[str, ...] = ()
-    schema: str = SCHEMA
 
     def __post_init__(self):
         if len(self.values) != len(REGISTRY):
@@ -148,23 +148,22 @@ class StyleVectorRaw:
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(REGISTRY, self.values))
+
+
+@dataclass(frozen=True)
+class StyleVectorRaw(_Vector):
+    """Feature values in natural units (chars, counts, ratios)."""
+    warnings: tuple[str, ...] = ()
+    schema: str = SCHEMA
 
     def __getitem__(self, name: str) -> float:
         return self.values[REGISTRY.index(name)]
 
 
 @dataclass(frozen=True)
-class StyleVector:
+class StyleVector(_Vector):
     """Normalized style vector; every component lies in [0, 1]."""
-    values: tuple[float, ...]
     schema: str = SCHEMA
-
-    def __post_init__(self):
-        if len(self.values) != len(REGISTRY):
-            raise ValueError(f"expected {len(REGISTRY)} features, got {len(self.values)}")
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(REGISTRY, self.values))
 
 
 _UPPER_RE = re.compile(r"[A-Z][A-Z0-9_]*\Z")
@@ -312,15 +311,10 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
     texts = [r.text for r in identifiers]
     chars = sum(len(t) for t in texts)
     letters = sum(1 for t in texts for c in t if c.isalpha())
-    cats = [r.category for r in identifiers]
-
-    def share(cat: NameCategory) -> float:
-        return sum(1 for c in cats if c is cat) / n
-
-    dist_pascal = share(NameCategory.PASCAL_CASE)
-    dist_snake = share(NameCategory.SNAKE_CASE)
-    dist_camel = share(NameCategory.CAMEL_CASE)
-    dist_upper = share(NameCategory.UPPER_CASE)
+    cats = Counter(r.category for r in identifiers)
+    dists = [cats[cat] / n for cat in (  # the dist_* features, in registry order
+        NameCategory.PASCAL_CASE, NameCategory.SNAKE_CASE, NameCategory.CAMEL_CASE,
+        NameCategory.UPPER_CASE, NameCategory.PRIVATE, NameCategory.DUNDER)]
     non_ws = sum(map(len, source.split()))
     punct = sum(map(source.count, string.punctuation))
     return [
@@ -331,13 +325,8 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
         punct / non_ws if non_ws else 0.0,
         sum(1 for t in texts for c in t if c.isupper()) / letters if letters else 0.0,
         sum(1 for t in texts for c in t if c.islower()) / letters if letters else 0.0,
-        dist_pascal,
-        dist_snake,
-        dist_camel,
-        dist_upper,
-        share(NameCategory.PRIVATE),
-        share(NameCategory.DUNDER),
-        max(dist_pascal, dist_snake, dist_camel, dist_upper),
+        *dists,
+        max(dists[:4]),  # the four case styles
     ]
 
 
@@ -426,11 +415,9 @@ def layout_features(doc: SourceDoc) -> list[float]:
 
     indented = [rec for rec in nonblank if rec.indent_columns > 0]
     if indented:
-        cols = [rec.indent_columns for rec in indented]
-        counts: dict[int, int] = {}
-        for c in cols:
-            counts[c] = counts.get(c, 0) + 1
-        unit = min(c for c in counts if counts[c] == max(counts.values()))
+        counts = Counter(rec.indent_columns for rec in indented)
+        top = max(counts.values())
+        unit = min(c for c, k in counts.items() if k == top)
         consistent = sum(
             1 for rec in indented
             if rec.indent_columns % unit == 0
@@ -467,17 +454,8 @@ def structural_features(doc: SourceDoc) -> list[float]:
     per_func_params = [effective_params(rec) for rec in functions]
     all_params = [p for ps in per_func_params for p in ps]
     clauses = [c for rec in functions for c in rec.except_clauses]
-    specific = sum(1 for c in clauses if c.value == "Specific")
-
-    code_lines = []
-    for rec, text in zip(profile.lines, doc.lines):
-        if rec.is_blank or rec.is_comment_only:
-            continue
-        code_lines.append(" ".join(text.split()))
-    counts: dict[str, int] = {}
-    for line in code_lines:
-        counts[line] = counts.get(line, 0) + 1
-    dup_extra = sum(c - 1 for c in counts.values() if c > 1)
+    code_lines = [" ".join(text.split()) for rec, text in zip(profile.lines, doc.lines)
+                  if not (rec.is_blank or rec.is_comment_only)]
 
     n = len(functions)
     return [
@@ -488,8 +466,8 @@ def structural_features(doc: SourceDoc) -> list[float]:
         fmean([rec.body_line_span for rec in functions]),
         sum(1 for rec in functions if rec.has_docstring) / n,
         sum(1 for rec in functions if rec.has_try) / n,
-        specific / len(clauses) if clauses else 0.0,
-        dup_extra / len(code_lines) if code_lines else 0.0,
+        clauses.count(ExceptKind.SPECIFIC) / len(clauses) if clauses else 0.0,
+        (len(code_lines) - len(set(code_lines))) / len(code_lines) if code_lines else 0.0,
         sum(1 for p in all_params if p.has_annotation) / len(all_params)
         if all_params else 0.0,
         fmean([rec.control_count for rec in functions]),
@@ -542,7 +520,7 @@ def to_json_document(raw: StyleVectorRaw, vec: StyleVector | None = None) -> dic
         vec = normalize(raw)
     return {
         "schema": SCHEMA,
-        "raw": {name: raw.values[i] for i, name in enumerate(REGISTRY)},
+        "raw": raw.as_dict(),
         "normalized": list(vec.values),
     }
 

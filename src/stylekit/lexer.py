@@ -9,8 +9,19 @@ counts from after the last form feed among its leading blanks, as in
 ``Newline``, ``Indent`` and ``Dedent`` are synthetic tokens with empty
 text: ``Newline`` marks the end of a logical line (physical newlines
 inside brackets or after a backslash join do not produce one), and
-``Indent``/``Dedent`` mark indentation changes on code lines. Blank and
-comment-only lines never touch the indent stack.
+``Indent``/``Dedent`` mark indentation changes on code lines, at column
+0. Blank and comment-only lines never touch the indent stack.
+
+On code that ``compile`` accepts, the stream equals the stdlib ``tokenize``
+of Python 3.11 (``tests/test_tokenize_oracle.py``; from 3.12 it splits
+f-strings, one ``String`` here), NAME split by ``keyword.iskeyword`` and OP
+by ``PUNCTS``, but for these intended divergences:
+
+* a comment-only line outside brackets ends with a ``Newline``, not NL;
+* a logical line that holds only a backslash join has no ``Newline``;
+* a file that ends, with no final newline, in a comment on a line
+  continued by a backslash join ends with a ``Newline``; ``tokenize``
+  omits it.
 """
 
 from __future__ import annotations
@@ -373,10 +384,7 @@ class LineRecord:
     is_blank: bool
     is_comment_only: bool
     has_inline_comment: bool
-
-    @property
-    def indent_columns(self) -> int:
-        return indent_columns(self.leading_ws)
+    indent_columns: int  # display width of ``leading_ws``
 
 
 @dataclass(frozen=True)
@@ -414,5 +422,6 @@ def profile_lines(raw_lines: list[str], tokens: list[Token]) -> LineProfile:
             is_blank=not stripped,
             is_comment_only=idx in comment_lines and idx not in code_lines,
             has_inline_comment=idx in comment_lines and idx in code_lines,
+            indent_columns=indent_columns(leading),
         ))
     return LineProfile(lines=tuple(records), total_lines=len(raw_lines))

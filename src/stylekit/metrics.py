@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .features import (NAMING_SLICE, SchemaMismatch, StyleVector, analyze,
                        analyze_doc, normalize)
@@ -55,14 +55,7 @@ class MetricReport:
     style_loss: float
 
     def as_dict(self) -> dict:
-        return {
-            "css": self.css,
-            "bleu4": self.bleu4,
-            "rouge1": vars(self.rouge1).copy(),
-            "rouge2": vars(self.rouge2).copy(),
-            "rougeL": vars(self.rougeL).copy(),
-            "style_loss": self.style_loss,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -447,7 +447,6 @@ def _pseudo_function(stmts: list[Stmt], total_lines: int) -> FunctionInfo:
 class BlockSpan:
     """Body line range of a def or loop, for sub-snippet extraction."""
     kind: str
-    header_line: int
     body_start: int
     body_end: int
 
@@ -461,4 +460,4 @@ def _iter_spans(stmts: list[Stmt]):
         if stmt.kind in ("def", "for", "while"):
             lines = _body_lines(stmts, i)
             if lines is not None:
-                yield BlockSpan(stmt.kind, stmt.line_start, *lines)
+                yield BlockSpan(stmt.kind, *lines)

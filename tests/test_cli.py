@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from stylekit import checkpoint as ckpt, contrastive, metrics
+from stylekit import checkpoint as ckpt, contrastive, corpus, metrics
 from stylekit.cli import main
 from stylekit.contrastive import TrainConfig
 from stylekit.corpus import ingest
@@ -207,6 +207,24 @@ def test_corpus_non_string_record(tmp_path, capsys):
     code, out, err = run(capsys, "corpus", path, "--json")
     assert code == 2
     assert json.loads(err.strip())["error"] == "MalformedRecord"
+
+
+def test_corpus_precompute_records_a_blank_record_but_not_our_bug(tmp_path, capsys,
+                                                                 monkeypatch):
+    path = tmp_path / "c.jsonl"
+    path.write_text(json.dumps({"id": "a", "code1": "x = 1", "code2": "x = 1"}) + "\n"
+                    + json.dumps({"id": "b", "code1": "y = 2", "code2": " \n "}) + "\n",
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "corpus", path, "--precompute", "--json")
+    assert code == 0 and list(json.loads(out)["style_errors"]) == ["b"]
+
+    def broken(source, lenient=False):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(corpus, "analyze", broken)
+    code, out, err = run(capsys, "corpus", path, "--precompute", "--json")
+    assert code == 3 and out == ""
+    assert json.loads(err.strip())["error"] == "ValueError"
 
 
 def test_corpus_roundtrip(tmp_path, capsys):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from stylekit import corpus
 from stylekit.corpus import (
     CorpusFile,
     MalformedRecord,
@@ -139,12 +140,25 @@ def test_bom_prefixed_inputs_lose_only_the_bom(tmp_path):
     assert [r.code2 for r in ingest(tmp_path / "pkg" / "a.py").records] == ["a = 1\n"]
 
 
+def with_style_vec(vec):
+    return json.dumps(record_doc(1, "y = 2") | {"style_vec": vec})
+
+
 @pytest.mark.parametrize("line, reason", [
     ("[1, 2]", "record is not an object"),
     ('{"id": "r1", "code1"', "bad JSON: "),
     ('{"code1": "x = 1", "code2": "y = 2"}', "missing 'id'"),
     ('{"id": "r1", "code2": "y = 2"}', "missing 'code1'"),
     ('{"id": "r1", "code1": "x = 1"}', "missing 'code2'"),
+    pytest.param('{"id": "r1", "code1": 5, "code2": "y = 2"}', "code1/code2 must be strings",
+                 id="code1_int"),
+    pytest.param('{"id": "r1", "code1": "x = 1", "code2": ["y = 2"]}',
+                 "code1/code2 must be strings", id="code2_list"),
+    *(pytest.param(with_style_vec(vec), "style_vec must be 34 numbers in [0, 1]",
+                   id=f"style_vec_{name}")
+      for name, vec in [("strings", ["0.5"] * 34), ("nan", [float("nan")] * 34),
+                        ("bools", [True] * 34), ("above_one", [1.5] * 34),
+                        ("short", [0.5] * 33), ("not_a_list", 5)]),
 ])
 def test_load_jsonl_names_a_malformed_line(tmp_path, line, reason):
     path = tmp_path / "saved.jsonl"
@@ -282,6 +296,19 @@ def test_precompute_flags_bad_record_without_dropping():
     assert sorted(out.manifest.style_errors) == ["bad", "no_colon", "superscript"]
     assert out.manifest.style_errors["no_colon"].startswith("SyntaxUnsupported: line 1")
     assert out.manifest.style_errors["superscript"].startswith("InvalidCharacter:")
+
+
+def test_precompute_records_only_declared_analyzer_errors(monkeypatch):
+    corp = from_sources([("blank", " \n\t\n")])
+    assert precompute_styles(corp).manifest.style_errors == {
+        "blank": "EmptySource: source is empty after stripping whitespace"}
+
+    def broken(source, lenient=False):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(corpus, "analyze", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        precompute_styles(corp)
 
 
 def test_jsonl_round_trip(tmp_path):
