@@ -298,17 +298,17 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                 svecs = style_vecs[batch]
                 code_cache: dict = {}
                 style_cache: dict = {}
-                code_out = code.forward(ids, code_cache)
-                style_out = style.forward(svecs, style_cache)
-                a = l2_normalize(code_out.astype(np.float64))
-                p = l2_normalize(style_out.astype(np.float64))
+                code_out = code.forward(ids, code_cache).astype(np.float64)
+                style_out = style.forward(svecs, style_cache).astype(np.float64)
+                a = l2_normalize(code_out)
+                p = l2_normalize(style_out)
                 loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
                                                   cfg.symmetric_loss)
                 if not math.isfinite(loss):
                     raise NonFiniteLoss(epoch, batch_no, cfg.lr)
                 losses.append(loss)
-                dcode = l2_normalize_backward(code_out.astype(np.float64), da)
-                dstyle = l2_normalize_backward(style_out.astype(np.float64), dp)
+                dcode = l2_normalize_backward(code_out, da)
+                dstyle = l2_normalize_backward(style_out, dp)
                 code_grads = code.backward(code_cache, dcode.astype(np.float32))
                 style_grads = style.backward(style_cache, dstyle.astype(np.float32))
                 adam_step(code.params, code_grads, opt_code, lr=cfg.lr)

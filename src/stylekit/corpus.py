@@ -224,14 +224,21 @@ def save_jsonl(corpus: CorpusFile, path: str | Path) -> None:
 
 def load_jsonl(path: str | Path) -> CorpusFile:
     """A corpus as :func:`save_jsonl` writes it. :class:`MalformedRecord` names a line
-    without ``id``, ``code1`` or ``code2``, with non-string code or a bad ``style_vec``."""
+    without ``id``, ``code1`` or ``code2``, with a non-string or repeated id, non-string
+    code or a bad ``style_vec``."""
     path = Path(path)
     records = []
+    seen_ids: set[str] = set()
     for line_no, doc in jsonl_objects(path):
         try:
-            rec = CorpusRecord(str(doc["id"]), doc["code1"], doc["code2"])
+            rec = CorpusRecord(doc["id"], doc["code1"], doc["code2"])
         except KeyError as exc:
             raise MalformedRecord(line_no, f"missing {exc.args[0]!r}") from exc
+        if not isinstance(rec.id, str):
+            raise MalformedRecord(line_no, "id must be a string")
+        if rec.id in seen_ids:
+            raise MalformedRecord(line_no, f"duplicate id {rec.id!r}")
+        seen_ids.add(rec.id)
         if not (isinstance(rec.code1, str) and isinstance(rec.code2, str)):
             raise MalformedRecord(line_no, "code1/code2 must be strings")
         vec = doc.get("style_vec")

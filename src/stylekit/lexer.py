@@ -187,6 +187,7 @@ class _Scanner:
         # Clamped at 0, not ``bracket_depths``: it decides where logical lines end.
         self.depth = 0               # open-bracket depth
         self.line_has_token = False  # any token on the current logical line
+        self.blank_tail = False      # the last statement start found only blanks
         self.line = 1
         self.mark = 0                # last measured offset on the current line
         self.mark_col = 0            # its display column
@@ -225,6 +226,7 @@ class _Scanner:
         stack on code lines."""
         end = self._physical_line(pos)
         if end == self.n or self.src[end] in "\n#":
+            self.blank_tail = end == self.n
             return end  # blank or comment-only: indentation is not evidence
         cols = self._col(end)
         while cols < self.indents[-1]:
@@ -329,7 +331,8 @@ class _Scanner:
         col = self._col(n)
         if self.line_has_token:
             self.tokens.append(_new(Token, (TokenKind.NEWLINE, "", self.line, col)))
-        dedent_line = self.line if col == 0 else self.line + 1
+        # as ``tokenize``: after the last line, unless only blanks start a statement there
+        dedent_line = self.line + (src[-1:] != "\n" and not self.blank_tail)
         self.tokens.extend(_new(Token, (TokenKind.DEDENT, "", dedent_line, 0))
                            for _ in self.indents[1:])
         return self.tokens

@@ -2,13 +2,17 @@
 
 ``_Scanner`` and ``lex`` are the earlier implementation: one character at a
 time, operators found by ``str.startswith`` probes. They are unchanged but
-for two deliberate edits: a character that ``str.isdigit`` accepts but no
+for three deliberate edits: a character that ``str.isdigit`` accepts but no
 number can start with (``²``) raises ``InvalidCharacter``, where it used to
 raise ``AttributeError``; and a form feed is whitespace, which among a
 physical line's leading blanks restarts the column (as in ``tokenize``),
 where it used to be a ``Punct`` token. That holds on every physical line,
 inside brackets, after a backslash join and inside strings too. A leading
-BOM goes in the shared ``normalize_newlines``.
+BOM goes in the shared ``normalize_newlines``. And the closing ``Dedent``
+tokens of a text without a final newline sit on its last line when that
+line holds only blanks at a statement start, and on the line after it
+otherwise (after a backslash join too), as in ``tokenize``; they used to go
+by whether the last line's column was 0.
 The differential tests in
 ``test_lexer_differential.py`` require the production lexer to give the same
 tokens, or raise the same exception class, on every input. The constants are
@@ -86,6 +90,7 @@ class _Scanner:
         self.depth = 0              # open-bracket depth
         self.line_has_token = False  # any token on the current logical line
         self.continuation = False    # previous line ended with a backslash join
+        self.blank_tail = False      # the last statement start found only blanks
 
     # -- low-level movement ------------------------------------------------
 
@@ -123,6 +128,7 @@ class _Scanner:
         while self._peek() in _BLANKS:
             self._advance()
         ch = self._peek()
+        self.blank_tail = ch == ""  # changed on purpose, see dedent_line
         if ch in ("", "\n", "#"):
             return  # blank or comment-only: indentation is not evidence
         cols = self.col
@@ -267,7 +273,9 @@ class _Scanner:
                 self._scan_operator_or_punct()
         if self.line_has_token:
             self._emit(TokenKind.NEWLINE, "", self.line, self.col)
-        dedent_line = self.line if self.col == 0 else self.line + 1
+        # changed on purpose: as in ``tokenize``, the line after a last line
+        # that holds anything but blanks at a statement start
+        dedent_line = self.line + (self.src[-1:] != "\n" and not self.blank_tail)
         while self.indents[-1] > 0:
             self.indents.pop()
             self._emit(TokenKind.DEDENT, "", dedent_line, 0)

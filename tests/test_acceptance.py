@@ -108,7 +108,7 @@ def _tower_gradcheck(tower, inputs, out_dim, rng) -> float:
             lm = loss()
             flat[i] = orig
             num = (lp - lm) / (2 * h)
-            ana = grads[name].reshape(-1)[i]
+            ana = np.asarray(grads[name]).reshape(-1)[i]
             worst = max(worst, abs(num - ana) / max(abs(num) + abs(ana), 1e-8))
     return worst
 

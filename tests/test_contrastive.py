@@ -224,6 +224,50 @@ def test_train_loss_decreases_on_tiny_corpus():
     assert logs[-1].mean_loss < logs[0].mean_loss
 
 
+def test_train_equals_a_dense_adam_reference_bit_for_bit():
+    """Two epochs of ``train``, and the same steps again with every ``emb``
+    gradient densified and the whole-tensor Adam of ``test_nn``."""
+    from test_nn import adam_step_dense
+
+    from stylekit import contrastive
+    from stylekit.nn import CodeTower, StyleTower, l2_normalize_backward, new_adam_state
+
+    pairs = tiny_pairs()
+    cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
+    model, _ = train(pairs, cfg)
+
+    rng = np.random.default_rng(cfg.seed)
+    style = StyleTower(seed=cfg.seed)
+    code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
+    distinct_ids, slot = contrastive._anchor_ids(code, pairs)
+    style_vecs = contrastive._positive_styles(pairs)
+    opt_style, opt_code = new_adam_state(style.params), new_adam_state(code.params)
+    quiet = set()   # emb rows that had a gradient once and then a silent batch
+    seen = set()
+    for _ in range(cfg.epochs):
+        for batch in contrastive._stratified_batches(pairs, cfg.batch_size, rng):
+            code_cache, style_cache = {}, {}
+            code_out = code.forward([distinct_ids[slot[i]] for i in batch],
+                                    code_cache).astype(np.float64)
+            style_out = style.forward(style_vecs[batch], style_cache).astype(np.float64)
+            _, da, dp = info_nce_with_grad(l2_normalize(code_out), l2_normalize(style_out),
+                                           cfg.temperature, cfg.symmetric_loss)
+            code_grads = code.backward(
+                code_cache, l2_normalize_backward(code_out, da).astype(np.float32))
+            style_grads = style.backward(
+                style_cache, l2_normalize_backward(style_out, dp).astype(np.float32))
+            rows = set(code_grads["emb"].rows.tolist())
+            quiet |= seen - rows
+            seen |= rows
+            code_grads["emb"] = np.asarray(code_grads["emb"])
+            adam_step_dense(code.params, code_grads, opt_code, lr=cfg.lr)
+            adam_step_dense(style.params, style_grads, opt_style, lr=cfg.lr)
+    assert quiet
+    for trained, reference in ((model.code, code), (model.style, style)):
+        for name, value in reference.params.items():
+            assert np.array_equal(trained.params[name], value), name
+
+
 def test_train_duplicate_pair_floor():
     # one pair repeated across the whole batch: every candidate equals the
     # positive, so the softmax stays uniform and the loss is ln(B) forever

@@ -150,6 +150,12 @@ def with_style_vec(vec):
     ('{"code1": "x = 1", "code2": "y = 2"}', "missing 'id'"),
     ('{"id": "r1", "code2": "y = 2"}', "missing 'code1'"),
     ('{"id": "r1", "code1": "x = 1"}', "missing 'code2'"),
+    pytest.param('{"id": "r0", "code1": "x = 1", "code2": "y = 2"}', "duplicate id 'r0'",
+                 id="id_repeated"),
+    pytest.param('{"id": null, "code1": "x = 1", "code2": "y = 2"}', "id must be a string",
+                 id="id_null"),
+    pytest.param('{"id": 7, "code1": "x = 1", "code2": "y = 2"}', "id must be a string",
+                 id="id_int"),
     pytest.param('{"id": "r1", "code1": 5, "code2": "y = 2"}', "code1/code2 must be strings",
                  id="code1_int"),
     pytest.param('{"id": "r1", "code1": "x = 1", "code2": ["y = 2"]}',

@@ -17,6 +17,7 @@ from stylekit.nn import (
     EmptyTokenStream,
     EncoderModel,
     NonFiniteGradient,
+    RowGrad,
     ShapeMismatch,
     StyleTower,
     adam_step,
@@ -169,7 +170,7 @@ def _central_diff_check(tower, inputs, out_dim, seed):
             lm = loss()
             flat[i] = orig
             num = (lp - lm) / (2 * h)
-            ana = grads[name].reshape(-1)[i]
+            ana = np.asarray(grads[name]).reshape(-1)[i]
             rel = abs(num - ana) / max(abs(num) + abs(ana), 1e-8)
             worst = max(worst, rel)
     return worst
@@ -229,8 +230,9 @@ def test_code_backward_emb_grad_equals_per_row_scatter():
         expected = np.zeros_like(p["emb"])
         for row, ids in enumerate(ids_batch):
             np.add.at(expected, ids, dpooled[row] / len(ids))
-        assert grads["emb"].dtype == expected.dtype
-        assert grads["emb"].tobytes() == expected.tobytes()
+        demb = np.asarray(grads["emb"])
+        assert demb.dtype == expected.dtype
+        assert demb.tobytes() == expected.tobytes()
 
 
 # -- adam -----------------------------------------------------------------------
@@ -292,24 +294,120 @@ def test_adam_blocked_equals_dense_bit_for_bit(monkeypatch, block, dtype):
         assert np.array_equal(st_blocked["v"][name], st_dense["v"][name])
 
 
+def row_grad(rows, values, shape):
+    return RowGrad(np.asarray(rows, dtype=np.int64), np.asarray(values), shape)
+
+
+# Each step's gradient of a 40-row table, by row; every other row is silent.
+# Row 0 goes quiet after step 1, rows 1 and 2 always get exactly 0.0 and
+# -0.0, row 3 enters at step 4, and from step 7 on most rows are live, so
+# the update crosses from the gathered branch to the dense one.
+def sparse_schedule(step, rng):
+    rows = set(rng.choice(np.arange(10, 18), 3, replace=False).tolist())
+    if step <= 1:
+        rows.add(0)
+    if step >= 4:
+        rows.add(3)
+    if step >= 7:
+        rows |= set(rng.choice(np.arange(4, 40), 18, replace=False).tolist())
+    rows |= {1, 2}
+    return sorted(rows)
+
+
+@pytest.mark.parametrize("block", [ADAM_BLOCK, 100])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_row_sparse_equals_dense_bit_for_bit(monkeypatch, block, dtype):
+    monkeypatch.setattr(nn, "ADAM_BLOCK", block)
+    rng = np.random.default_rng(block + 7)
+    shapes = {"emb": (40, block // 40 + 3), "w": (3, 5), "bias": (6,), "mixed": (7,)}
+    sparse = {k: rng.standard_normal(sh).astype(dtype) for k, sh in shapes.items()}
+    dense = {k: v.copy() for k, v in sparse.items()}
+    st_sparse, st_dense = new_adam_state(sparse), new_adam_state(dense)
+    live_counts = []
+    for step in range(12):
+        scale = 10.0 ** rng.integers(-6, 3)
+        rows = sparse_schedule(step, rng)
+        values = (rng.standard_normal((len(rows), shapes["emb"][1])) * scale).astype(dtype)
+        values[rows.index(1)] = 0.0
+        values[rows.index(2)] = -0.0
+        grads = {"emb": row_grad(rows, values, shapes["emb"]),
+                 "w": (rng.standard_normal(shapes["w"]) * scale).astype(dtype),
+                 "bias": row_grad([step % 6], rng.standard_normal(1).astype(dtype), (6,)),
+                 # a dense gradient makes every row live
+                 "mixed": (row_grad([step % 7], np.ones(1, dtype), (7,)) if step % 2
+                           else rng.standard_normal(7).astype(dtype))}
+        adam_step(sparse, grads, st_sparse, lr=3e-3)
+        adam_step_dense(dense, {k: np.asarray(g) for k, g in grads.items()}, st_dense, lr=3e-3)
+        live_counts.append(int(st_sparse["live"]["emb"].sum()))
+    # both branches ran: at most half the rows live through step 6, more after
+    assert max(live_counts[:7]) <= nn.ADAM_SPARSE_SHARE * 40 < live_counts[-1]
+    assert st_sparse["t"] == st_dense["t"] == 12
+    for name in shapes:
+        assert sparse[name].dtype == dtype
+        assert np.array_equal(sparse[name], dense[name])
+        assert np.array_equal(st_sparse["m"][name], st_dense["m"][name])
+        assert np.array_equal(st_sparse["v"][name], st_dense["v"][name])
+    # row 0, silent since step 2, still carries momentum, as in dense Adam
+    assert not np.array_equal(st_sparse["m"]["emb"][0], np.zeros(shapes["emb"][1]))
+
+
+def adam_snapshot(params, state):
+    return ({k: v.copy() for k, v in params.items()},
+            {k: v.copy() for k, v in state["m"].items()},
+            {k: v.copy() for k, v in state["v"].items()},
+            {k: v.copy() for k, v in state["live"].items()})
+
+
+def assert_unchanged(params, state, before, t):
+    assert state["t"] == t
+    for now, then in zip((params, state["m"], state["v"], state["live"]), before):
+        assert all(np.array_equal(now[k], then[k]) for k in then)
+
+
 def test_adam_non_finite_gradient_changes_nothing():
     rng = np.random.default_rng(12)
     params = {"a": rng.standard_normal(300).astype(np.float32),
+              "e": rng.standard_normal((6, 3)).astype(np.float32),
               "b": rng.standard_normal((4, 5)).astype(np.float32)}
     state = new_adam_state(params)
-    for _ in range(2):
-        adam_step(params, {k: rng.standard_normal(v.shape).astype(np.float32)
-                           for k, v in params.items()}, state)
-    before = ({k: v.copy() for k, v in params.items()},
-              {k: v.copy() for k, v in state["m"].items()},
-              {k: v.copy() for k, v in state["v"].items()})
-    grads = {"a": np.ones(300, dtype=np.float32), "b": np.ones((4, 5), dtype=np.float32)}
-    grads["b"][3, 1] = np.inf       # the last tensor: "a" would be updated first
+    for step in range(2):
+        grads = {k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()}
+        grads["e"] = row_grad([step], np.ones((1, 3), dtype=np.float32), (6, 3))
+        adam_step(params, grads, state)
+    before = adam_snapshot(params, state)
+    grads = {"a": np.ones(300, dtype=np.float32),
+             "e": row_grad([2, 4], np.ones((2, 3), dtype=np.float32), (6, 3)),
+             "b": np.ones((4, 5), dtype=np.float32)}
+    grads["b"][3, 1] = np.inf       # the last tensor: "a" and "e" would be updated first
     with pytest.raises(NonFiniteGradient):
         adam_step(params, grads, state)
-    assert state["t"] == 2
-    for now, then in zip((params, state["m"], state["v"]), before):
-        assert all(np.array_equal(now[k], then[k]) for k in then)
+    assert_unchanged(params, state, before, 2)
+    assert state["live"]["e"].tolist() == [True, True, False, False, False, False]
+
+
+@pytest.mark.parametrize("grad, error", [
+    (row_grad([1, 2], np.ones((2, 3)), (6, 4)), ShapeMismatch),
+    (row_grad([1, 2], np.ones((2, 4)), (6, 3)), ShapeMismatch),
+    (row_grad([1, 2], np.ones((3, 3)), (6, 3)), ShapeMismatch),
+    (row_grad([2, 1], np.ones((2, 3)), (6, 3)), ShapeMismatch),
+    (row_grad([1, 1], np.ones((2, 3)), (6, 3)), ShapeMismatch),
+    (row_grad([-1, 2], np.ones((2, 3)), (6, 3)), ShapeMismatch),
+    (row_grad([1, 6], np.ones((2, 3)), (6, 3)), ShapeMismatch),
+    (RowGrad(np.array([1.0, 2.0]), np.ones((2, 3)), (6, 3)), ShapeMismatch),
+    (row_grad([1, 2], [[1.0, np.nan, 1.0], [1.0, 1.0, 1.0]], (6, 3)), NonFiniteGradient),
+], ids=["shape", "values_width", "values_rows", "unsorted", "repeated", "negative",
+        "past_end", "float_rows", "non_finite"])
+def test_adam_rejects_a_malformed_row_grad_up_front(grad, error):
+    rng = np.random.default_rng(13)
+    params = {"a": rng.standard_normal(8).astype(np.float32),
+              "e": rng.standard_normal((6, 3)).astype(np.float32)}
+    state = new_adam_state(params)
+    adam_step(params, {"a": np.ones(8, dtype=np.float32),
+                       "e": row_grad([0], np.ones((1, 3), dtype=np.float32), (6, 3))}, state)
+    before = adam_snapshot(params, state)
+    with pytest.raises(error):
+        adam_step(params, {"a": np.ones(8, dtype=np.float32), "e": grad}, state)
+    assert_unchanged(params, state, before, 1)
 
 
 def test_adam_rejects_non_contiguous_tensor():

@@ -31,7 +31,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import archetype_corpus as ac
@@ -137,6 +137,8 @@ def test_archetype_files_match_tokenize():
 @given(st.lists(st.sampled_from(FRAGMENTS), max_size=12).map("".join))
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.filter_too_much])
+@example(" \\\n\x0c")          # a blank continued last line: Dedent on the next line
+@example("if x:\n  y\n  ")      # a blank last line: Dedent on it
 def test_fragment_texts_match_tokenize(source):
     assume(compiles(source))
     assert lexed(source) == oracle(source)
