@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .features import NORMALIZATION_CAPS, SCHEMA
+from .lexer import InputError
 from .nn import CodeTower, EncoderModel, StyleTower
 
 MAGIC = b"S2C1"
@@ -29,7 +30,7 @@ MAGIC = b"S2C1"
 _DTYPES = {"<f4": np.dtype("<f4"), "<f8": np.dtype("<f8")}
 
 
-class CheckpointError(Exception):
+class CheckpointError(InputError):
     pass
 
 

@@ -2,8 +2,9 @@
 
 Subcommands: analyze, css, diff, score, pairs, train, embed,
 eval-retrieval, corpus. Data goes to stdout, diagnostics to stderr.
-Exit codes: 0 success, 1 usage error, 2 input/parse error, 3 internal
-error. With ``--json``, errors are emitted on stderr as one-line JSON.
+Exit codes: 0 success, 1 usage error, 2 bad input (an ``InputError``, or an
+OS error on a path you named), 3 internal error. With ``--json``, errors are
+emitted on stderr as one-line JSON.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint as ckpt
-from . import contrastive, corpus as corpus_mod, features, metrics, nn
-from .lexer import LexError, lex
-from .syntax import SyntaxUnsupported
+from . import contrastive, corpus as corpus_mod, features, metrics
+from .lexer import InputError, lex
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -30,7 +30,7 @@ class UsageError(Exception):
     pass
 
 
-class InvalidConfig(ValueError):
+class InvalidConfig(InputError, ValueError):
     """A ``--config`` line that is not ``key=value``, or a value that its cast rejects."""
 
 
@@ -360,15 +360,8 @@ _COMMANDS = {
     "corpus": _cmd_corpus,
 }
 
-# Bad input only: a ValueError or KeyError from anywhere else is our bug.
-_INPUT_ERRORS = (
-    FileNotFoundError, IsADirectoryError, UnicodeDecodeError, json.JSONDecodeError,
-    InvalidConfig, LexError, SyntaxUnsupported, features.EmptySource,
-    features.SchemaMismatch, metrics.EmptyInput, metrics.NonFiniteInput,
-    metrics.InvalidWeight, corpus_mod.MalformedRecord, corpus_mod.RatioError,
-    contrastive.InvalidSetting, contrastive.EmptyHeldout, contrastive.NonFiniteLoss,
-    nn.EmptyTokenStream, nn.DimensionMismatch, ckpt.CheckpointError,
-)
+# Bad input; anything else is our bug. OSError covers the paths named and a closed stdout.
+_INPUT_ERRORS = (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError)
 
 
 def _report_error(args, code: int, exc: BaseException) -> int:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, jsonl_objects
 from .features import analyze, normalize
-from .lexer import lex
+from .lexer import InputError, lex
 from .nn import (
     CodeTower,
     EncoderModel,
@@ -40,9 +40,8 @@ class UnnormalizedInput(ValueError):
     pass
 
 
-class NonFiniteLoss(RuntimeError):
-    """Training diverged: too large an ``lr`` for the data, a setting the
-    CLI reports as bad input."""
+class NonFiniteLoss(InputError, RuntimeError):
+    """Training diverged: too large an ``lr`` for the data, so bad input."""
 
     def __init__(self, epoch: int, batch: int, lr: float):
         super().__init__(f"non-finite loss at epoch {epoch}, batch {batch}: "
@@ -52,11 +51,11 @@ class NonFiniteLoss(RuntimeError):
         self.lr = lr
 
 
-class EmptyHeldout(ValueError):
+class EmptyHeldout(InputError, ValueError):
     pass
 
 
-class InvalidSetting(ValueError):
+class InvalidSetting(InputError, ValueError):
     """A training, pairing or retrieval setting out of its range."""
 
 
@@ -140,21 +139,22 @@ def build_pairs(corpus, seed: int = 0,
     the whole of it.
 
     Files with fewer than two extractable snippets are skipped with an
-    :class:`InsufficientSnippets` warning. With ``max_pairs_per_file`` the
-    kept snippets are sampled without replacement under ``seed``.
+    :class:`InsufficientSnippets` warning; a file the lexer rejects has none,
+    and its warning names the error. With ``max_pairs_per_file`` the kept
+    snippets are sampled without replacement under ``seed``.
     """
     if seed < 0 or (max_pairs_per_file is not None and max_pairs_per_file < 0):
         raise InvalidSetting("seed and max_pairs_per_file must be non-negative")
     rng = np.random.default_rng(seed)
     pairs: list[ContrastivePair] = []
     for record in corpus.records:
-        snippets = extract_snippets(record.code2)
+        try:
+            snippets, reason = extract_snippets(record.code2), ""
+        except InputError as exc:
+            snippets, reason = [], f" ({type(exc).__name__}: {exc})"
         if len(snippets) < 2:
-            warnings.warn(
-                f"file {record.id!r} has {len(snippets)} extractable snippet(s); skipped",
-                InsufficientSnippets,
-                stacklevel=2,
-            )
+            warnings.warn(f"file {record.id!r} has {len(snippets)} extractable "
+                          f"snippet(s){reason}; skipped", InsufficientSnippets, stacklevel=2)
             continue
         chosen = list(range(len(snippets)))
         if max_pairs_per_file is not None and len(chosen) > max_pairs_per_file:
@@ -255,14 +255,12 @@ def _stratified_batches(pairs: list[ContrastivePair], batch_size: int,
     files: list[set[str]] = []
     for idx in order:
         fid = pairs[idx].file_id
-        placed = False
         for batch, fset in zip(batches, files):
             if len(batch) < batch_size and fid not in fset:
                 batch.append(idx)
                 fset.add(fid)
-                placed = True
                 break
-        if not placed:
+        else:
             batches.append([idx])
             files.append({fid})
     return [b for b in batches if len(b) >= 2]

@@ -16,23 +16,23 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import REGISTRY, SCHEMA, EmptySource, StyleVector, analyze, normalize
-from .lexer import LexError
-from .syntax import SourceDoc, SyntaxUnsupported
+from .features import REGISTRY, SCHEMA, StyleVector, analyze, normalize
+from .lexer import InputError, LexError
+from .syntax import SourceDoc
 
 DEFAULT_MAX_TOKENS = 378
 # A manifest's counters; kept + dropped_* = input.
 _COUNTERS = ("input", "kept", "dropped_dupe", "dropped_len", "dropped_malformed")
 
 
-class MalformedRecord(ValueError):
+class MalformedRecord(InputError, ValueError):
     def __init__(self, line: int, reason: str):
         super().__init__(f"line {line}: {reason}")
         self.line = line
         self.reason = reason
 
 
-class RatioError(ValueError):
+class RatioError(InputError, ValueError):
     """Split ratios that are negative, NaN or sum past one, or a negative seed."""
 
 
@@ -199,7 +199,7 @@ def precompute_styles(corpus: CorpusFile) -> CorpusFile:
         if vec is None:
             try:
                 vec = normalize(analyze(rec.code2))
-            except (LexError, SyntaxUnsupported, EmptySource) as exc:
+            except InputError as exc:
                 errors[rec.id] = f"{type(exc).__name__}: {exc}"
         records.append(replace(rec, style_vec=vec))
     manifest = replace(deepcopy(corpus.manifest), style_errors=errors)

@@ -48,6 +48,11 @@ reading tokens rather than a tree:
 * a call directly on a literal, a keyword constant or a ``{...}`` display
   (``"{}"(x)``, ``1(x)``, ``None(x)``, ``{}(x)``) does not count; each would
   fail at run time.
+
+v2 candidates, defects whose fix changes ``s2c-style-v1`` and the goldens:
+
+* ``indentation_consistency`` takes the modal indent column as the unit, so a
+  consistent class whose method bodies hold most lines scores 4/7 (a test pins it).
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import (_BLANKS_RE, _CLOSERS, TAB_WIDTH, Token, TokenKind, bracket_depths,
-                    normalize_newlines, split_lines)
+from .lexer import (_BLANKS_RE, _CLOSERS, TAB_WIDTH, InputError, Token, TokenKind,
+                    bracket_depths, normalize_newlines, split_lines)
 from .syntax import (
     ExceptKind,
     FunctionInfo,
@@ -113,11 +118,11 @@ SPACE_PATTERN_ROWS = 24
 SPACE_PATTERN_COLS = 64
 
 
-class EmptySource(ValueError):
+class EmptySource(InputError, ValueError):
     """Raised when a source is empty after stripping whitespace."""
 
 
-class SchemaMismatch(ValueError):
+class SchemaMismatch(InputError, ValueError):
     pass
 
 

@@ -81,7 +81,7 @@ _NUMBER_RE = re.compile(
   | 0[oO][0-7_]+
   | 0[bB][01_]+
   | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?[jJ]?
-  | \d[\d_]*\.(?!\.)(?:\d[\d_]*)?(?:[eE][+-]?\d[\d_]*)?[jJ]?
+  | \d[\d_]*\.(?:\d[\d_]*)?(?:[eE][+-]?\d[\d_]*)?[jJ]?
   | \d[\d_]*(?:[eE][+-]?\d[\d_]*)?[jJ]?
     """,
     re.VERBOSE,
@@ -132,7 +132,12 @@ class Token(NamedTuple):
 _new = tuple.__new__
 
 
-class LexError(Exception):
+class InputError(Exception):
+    """Bad input, declared: the CLI exits 2 on it, and a batch job skips the
+    record that raised it. Any other exception is a stylekit bug."""
+
+
+class LexError(InputError):
     """Base class for tokenizer failures."""
 
 

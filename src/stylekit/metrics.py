@@ -23,18 +23,19 @@ from dataclasses import asdict, dataclass
 
 from .features import (NAMING_SLICE, SchemaMismatch, StyleVector, analyze,
                        analyze_doc, normalize)
+from .lexer import InputError
 from .syntax import SourceDoc
 
 
-class EmptyInput(ValueError):
+class EmptyInput(InputError, ValueError):
     pass
 
 
-class NonFiniteInput(ValueError):
+class NonFiniteInput(InputError, ValueError):
     pass
 
 
-class InvalidWeight(ValueError):
+class InvalidWeight(InputError, ValueError):
     pass
 
 

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lexer import Token
+from .lexer import InputError, Token
 
 
 # Elements per Adam slice (128 KB of float32): with the gradient, both
@@ -54,7 +54,7 @@ ADAM_BLOCK = 32_768
 ADAM_SPARSE_SHARE = 0.5
 
 
-class DimensionMismatch(ValueError):
+class DimensionMismatch(InputError, ValueError):
     pass
 
 
@@ -62,7 +62,7 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class EmptyTokenStream(ValueError):
+class EmptyTokenStream(InputError, ValueError):
     pass
 
 

@@ -25,8 +25,8 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lexer import (_CLOSERS, _OPENERS, LineProfile, Token, TokenKind, bracket_depths,
-                    lex, normalize_newlines, profile_lines, split_lines)
+from .lexer import (_CLOSERS, _OPENERS, InputError, LineProfile, Token, TokenKind,
+                    bracket_depths, lex, normalize_newlines, profile_lines, split_lines)
 
 _BLOCK_KEYWORDS = frozenset((
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -67,7 +67,7 @@ class FunctionInfo:
     is_method: bool
 
 
-class SyntaxUnsupported(Exception):
+class SyntaxUnsupported(InputError):
     def __init__(self, line: int, construct: str):
         super().__init__(f"line {line}: unsupported or malformed {construct}")
         self.line = line
@@ -433,12 +433,8 @@ def parse_functions(source: str, lenient: bool = False) -> list[FunctionInfo]:
     return SourceDoc.of(source, lenient).functions
 
 
-def module_pseudo_function(source: str, total_lines: int) -> FunctionInfo:
-    """Whole-file record used when a file defines no functions."""
-    return _pseudo_function(SourceDoc.of(source, lenient=True).stmts, total_lines)
-
-
 def _pseudo_function(stmts: list[Stmt], total_lines: int) -> FunctionInfo:
+    """Whole-file record used when a file defines no functions."""
     return _function_info(stmts, 0, len(stmts), "<module>", (), False,
                           max(total_lines, 1), False, 0)
 

@@ -2,7 +2,7 @@
 
 ``_Scanner`` and ``lex`` are the earlier implementation: one character at a
 time, operators found by ``str.startswith`` probes. They are unchanged but
-for three deliberate edits: a character that ``str.isdigit`` accepts but no
+for four deliberate edits: a character that ``str.isdigit`` accepts but no
 number can start with (``²``) raises ``InvalidCharacter``, where it used to
 raise ``AttributeError``; and a form feed is whitespace, which among a
 physical line's leading blanks restarts the column (as in ``tokenize``),
@@ -12,7 +12,9 @@ BOM goes in the shared ``normalize_newlines``. And the closing ``Dedent``
 tokens of a text without a final newline sit on its last line when that
 line holds only blanks at a statement start, and on the line after it
 otherwise (after a backslash join too), as in ``tokenize``; they used to go
-by whether the last line's column was 0.
+by whether the last line's column was 0. And a number's trailing dot is part
+of the number before a second dot too (``5..a`` gives ``5.``, ``.``, ``a``, as
+in ``tokenize``); it used to be left out.
 The differential tests in
 ``test_lexer_differential.py`` require the production lexer to give the same
 tokens, or raise the same exception class, on every input. The constants are
@@ -66,7 +68,7 @@ _NUMBER_RE = re.compile(
   | 0[oO][0-7_]+
   | 0[bB][01_]+
   | (?:\d[\d_]*)?\.\d[\d_]*(?:[eE][+-]?\d[\d_]*)?[jJ]?
-  | \d[\d_]*\.(?!\.)(?:\d[\d_]*)?(?:[eE][+-]?\d[\d_]*)?[jJ]?
+  | \d[\d_]*\.(?:\d[\d_]*)?(?:[eE][+-]?\d[\d_]*)?[jJ]?
   | \d[\d_]*(?:[eE][+-]?\d[\d_]*)?[jJ]?
     """,
     re.VERBOSE,

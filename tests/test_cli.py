@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import importlib
 import json
+import pkgutil
 import struct
 import warnings
 
 import pytest
 
-from stylekit import checkpoint as ckpt, contrastive, corpus, metrics
+import stylekit
+from stylekit import checkpoint as ckpt, cli, contrastive, corpus, metrics, nn
 from stylekit.cli import main
 from stylekit.contrastive import TrainConfig
 from stylekit.corpus import ingest
 from stylekit.features import REGISTRY
+from stylekit.lexer import InputError, InvalidCharacter
 from stylekit.metrics import LossConfig
 from stylekit.nn import CodeTower, EncoderModel, StyleTower
 
@@ -538,3 +542,68 @@ def test_internal_value_or_key_error_is_internal(files, capsys, monkeypatch, exc
     code, out, err = run(capsys, "score", "--candidate", a, "--reference", b, "--json")
     assert code == 3
     assert json.loads(err.strip())["error"] == type(exc).__name__ and out == ""
+
+
+NOT_A_DIRECTORY = {
+    "corpus": lambda f: ["corpus", f["a.py"] / "x"],
+    "pairs": lambda f: ["pairs", f["a.py"] / "x"],
+    "train_pairs": lambda f: ["train", "--pairs", f["a.py"] / "x"],
+    "eval_retrieval_ckpt": lambda f: ["eval-retrieval", "--pairs", f["empty.jsonl"],
+                                      "--ckpt", f["a.py"] / "x"],
+    "analyze_out": lambda f: ["analyze", f["a.py"], "--out", f["a.py"] / "x.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(NOT_A_DIRECTORY))
+def test_a_path_below_a_file_is_input_error(inputs, capsys, case):
+    code, _, err = run(capsys, *NOT_A_DIRECTORY[case](inputs), "--json")
+    assert code == 2, err
+    doc = json.loads(err.strip())
+    assert doc["error"] == "NotADirectoryError" and "Not a directory" in doc["message"]
+
+
+def _stylekit_exceptions():
+    """Every exception class defined in a ``stylekit`` module, but warnings,
+    which are issued, not raised."""
+    found = {}
+    for info in pkgutil.iter_modules(stylekit.__path__):
+        module = importlib.import_module(f"stylekit.{info.name}")
+        for obj in vars(module).values():
+            if (isinstance(obj, type) and issubclass(obj, Exception)
+                    and not issubclass(obj, Warning) and obj.__module__ == module.__name__):
+                found[f"{obj.__module__}.{obj.__qualname__}"] = obj
+    return [found[name] for name in sorted(found)]
+
+
+EXCEPTIONS = _stylekit_exceptions()
+# The declared errors that are not bad input, with their exit codes.
+NOT_INPUT_ERRORS = {cli.UsageError: 1, contrastive.UnnormalizedInput: 3,
+                    nn.ShapeMismatch: 3, nn.NonFiniteGradient: 3}
+
+
+def test_every_declared_error_is_bad_input_or_named_as_not():
+    assert {InputError, ckpt.BadMagic, InvalidCharacter, cli.InvalidConfig} <= set(EXCEPTIONS)
+    assert set(NOT_INPUT_ERRORS) <= set(EXCEPTIONS)
+    assert [cls for cls in EXCEPTIONS
+            if issubclass(cls, InputError) == (cls in NOT_INPUT_ERRORS)] == []
+    assert cli._INPUT_ERRORS == (OSError, UnicodeDecodeError, json.JSONDecodeError, InputError)
+
+
+@pytest.mark.parametrize("cls", EXCEPTIONS, ids=lambda cls: cls.__name__)
+def test_a_declared_error_raised_in_a_command_exits_with_its_code(files, capsys,
+                                                                   monkeypatch, cls):
+    # Built without the class's own __init__, whose arguments differ from
+    # class to class: the exit code depends on the class alone.
+    exc = cls.__new__(cls)
+    Exception.__init__(exc, "raised in a command")
+
+    def broken(candidate, reference):
+        raise exc
+
+    monkeypatch.setattr(metrics, "score", broken)
+    a, b = files
+    code, out, err = run(capsys, "score", "--candidate", a, "--reference", b, "--json")
+    assert code == NOT_INPUT_ERRORS.get(cls, 2)
+    assert json.loads(err.strip()) == {
+        "error": cls.__name__, "message": "raised in a command", "code": code}
+    assert out == ""

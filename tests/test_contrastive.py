@@ -101,6 +101,16 @@ def test_build_pairs_skips_thin_files_with_warning():
     assert {p.file_id for p in pairs} == {"ok"}
 
 
+def test_build_pairs_skips_a_file_the_lexer_rejects_and_names_the_error():
+    corp = from_sources([("bad", "x = ²\n" + THREE_FUNCS), ("ok", THREE_FUNCS)])
+    with pytest.warns(InsufficientSnippets) as caught:
+        pairs = build_pairs(corp)
+    assert {p.file_id for p in pairs} == {"ok"}
+    assert [str(w.message) for w in caught] == [
+        "file 'bad' has 0 extractable snippet(s) (InvalidCharacter: invalid character "
+        "'²' (U+00B2) on line 1); skipped"]
+
+
 def test_build_pairs_deterministic_under_seed():
     corp = from_sources([("f1", THREE_FUNCS), ("f2", THREE_FUNCS.replace("x", "w"))])
     a = build_pairs(corp, seed=3, max_pairs_per_file=2)

@@ -124,6 +124,18 @@ def test_indentation_consistency_modal_unit():
     assert named["indentation_consistency"] == pytest.approx(3 / 4)
 
 
+@pytest.mark.parametrize("unit", ["    ", "  "])
+def test_indentation_consistency_of_a_consistent_class_pins_a_v1_defect(unit):
+    # The modal indent column is taken as the unit, and here it is the
+    # method bodies' 2 units: the def lines and the nested line fail it, so
+    # 4 of 7 indented lines count. A v2 candidate (see features.py).
+    src = ("class A:\n    def f(self, x):\n        y = x\n        if y:\n"
+           "            y += 1\n        return y\n\n    def g(self):\n        return 0\n")
+    feats = layout_features(SourceDoc.of(src.replace("    ", unit)))
+    named = dict(zip(REGISTRY[LAYOUT_SLICE], feats))
+    assert named["indentation_consistency"] == pytest.approx(4 / 7)
+
+
 def test_indentation_consistency_mixed_ws_kind():
     # a line indented with a tab next to space lines: tab expands to 4 so
     # the column matches, and each line uses a single whitespace kind

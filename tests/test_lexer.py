@@ -163,6 +163,17 @@ def test_number_literals(lit):
     assert toks[2].text == lit
 
 
+@pytest.mark.parametrize("src,expected", [
+    ("5..a", ["5.", ".", "a"]),
+    ("1..real", ["1.", ".", "real"]),
+    ("1...", ["1.", ".", "."]),  # as tokenize splits it; compile rejects the text
+    ("1....", ["1.", "..."]),
+])
+def test_trailing_dot_number_before_more_dots(src, expected):
+    assert texts(lex(src)) == expected
+    assert lex(src)[0].kind is TokenKind.NUMBER
+
+
 SAMPLES = [
     "a = 1",
     "x+=2 # hi",

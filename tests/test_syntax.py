@@ -18,8 +18,8 @@ from stylekit.syntax import (
     ExceptKind,
     SourceDoc,
     SyntaxUnsupported,
+    _pseudo_function,
     block_spans,
-    module_pseudo_function,
     parse_functions,
 )
 
@@ -171,7 +171,8 @@ def test_call_depth_nested_vs_sequential():
     assert default.max_call_depth == 2
     base = parse_functions("def f():\n    class C(B(x)):\n        pass\n")[0]
     assert base.max_call_depth == 1
-    assert module_pseudo_function("print(def f(x))\n", 1).max_call_depth == 2
+    stmts = SourceDoc.of("print(def f(x))\n", lenient=True).stmts
+    assert _pseudo_function(stmts, 1).max_call_depth == 2
 
 
 def test_call_depth_subscript_call():
@@ -247,7 +248,8 @@ def test_decorators_recorded_but_not_analyzed():
 
 
 def test_module_pseudo_function():
-    rec = module_pseudo_function("x = 1\nif x:\n    print(x)\n", total_lines=3)
+    src = "x = 1\nif x:\n    print(x)\n"
+    rec = _pseudo_function(SourceDoc.of(src, lenient=True).stmts, 3)
     assert rec.name == "<module>"
     assert rec.branch_count == 1
     assert rec.control_count == 1
@@ -257,7 +259,8 @@ def test_module_pseudo_function():
 
 
 def test_module_docstring():
-    rec = module_pseudo_function('"""doc"""\nx = 1\n', total_lines=2)
+    src = '"""doc"""\nx = 1\n'
+    rec = _pseudo_function(SourceDoc.of(src, lenient=True).stmts, 2)
     assert rec.has_docstring
 
 

@@ -139,6 +139,9 @@ def test_archetype_files_match_tokenize():
           suppress_health_check=[HealthCheck.filter_too_much])
 @example(" \\\n\x0c")          # a blank continued last line: Dedent on the next line
 @example("if x:\n  y\n  ")      # a blank last line: Dedent on it
+@example("5..a\n")             # a trailing-dot float before a second dot
+@example("1..real\n")
+@example("1...\n")             # compile rejects it; test_lexer.py pins its tokens
 def test_fragment_texts_match_tokenize(source):
     assume(compiles(source))
     assert lexed(source) == oracle(source)
