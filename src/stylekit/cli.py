@@ -18,7 +18,7 @@ import numpy as np
 
 from . import checkpoint as ckpt
 from . import contrastive, corpus as corpus_mod, features, metrics
-from .lexer import InputError, lex
+from .lexer import InputError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -297,12 +297,15 @@ def _cmd_train(args) -> int:
 
 def _cmd_embed(args) -> int:
     model = ckpt.load(args.ckpt)
-    source = _read(args.file)
+    texts = [_read(args.file)]
     if args.tower == "style":
-        vec = features.normalize(features.analyze(source, lenient=True))
-        emb = model.style.forward(np.asarray(vec.values, dtype=np.float32))
+        (given,) = contrastive.style_inputs(texts)
     else:
-        emb = model.code.embed_source_tokens(lex(source, lenient=True))
+        (given,), _ = contrastive.code_inputs(model.code, texts)
+    if isinstance(given, InputError):
+        raise given
+    emb = (model.style.forward(given) if args.tower == "style"
+           else model.code.forward([given])[0])
     values = [float(x) for x in np.asarray(emb).ravel()]
     _emit(args, {"tower": args.tower, "dim": len(values), "embedding": values},
           " ".join(f"{v:.6g}" for v in values))

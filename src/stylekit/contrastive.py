@@ -59,7 +59,15 @@ class InvalidSetting(InputError, ValueError):
     """A training, pairing or retrieval setting out of its range."""
 
 
+class UnusablePair(InputError, ValueError):
+    """A pair whose anchor or positive a tower cannot take."""
+
+
 class InsufficientSnippets(UserWarning):
+    pass
+
+
+class SkippedPair(UserWarning):
     pass
 
 
@@ -270,18 +278,25 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
           checkpoint_path: str | Path | None = None,
           log_path: str | Path | None = None,
           log_fn=None) -> tuple[EncoderModel, list[EpochLog]]:
-    """Train both towers with in-batch InfoNCE; deterministic under seed."""
-    if len(pairs) < cfg.batch_size:
-        raise InvalidSetting(f"need at least {cfg.batch_size} pairs, got {len(pairs)}")
+    """Train both towers with in-batch InfoNCE; deterministic under seed.
+
+    A pair a tower cannot take is skipped with a :class:`SkippedPair`
+    warning. The pairs left must fill a batch and span two files: a batch
+    draws its negatives from other files."""
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
     model = EncoderModel(style=style, code=code)
 
     # the expensive analysis happens once per anchor and positive, not per epoch
-    distinct_ids, slot = _anchor_ids(code, pairs)
+    pairs, distinct_ids, slot, rows = _pair_inputs(code, pairs, skip=True)
+    if len(pairs) < cfg.batch_size:
+        raise InvalidSetting(f"need at least {cfg.batch_size} pairs, got {len(pairs)}")
+    files = len({p.file_id for p in pairs})
+    if files < 2:
+        raise InvalidSetting(f"need pairs of at least 2 files, got {files}")
     anchor_ids = [distinct_ids[j] for j in slot]
-    style_vecs = _positive_styles(pairs)
+    style_vecs = np.stack(rows)
 
     opt_style = new_adam_state(style.params)
     opt_code = new_adam_state(code.params)
@@ -329,30 +344,72 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     return model, logs
 
 
-def _anchor_ids(code: CodeTower, pairs: list[ContrastivePair]):
-    """Bucket ids of each distinct anchor, lexed once, and for each pair the
-    index of its anchor in that list (pairs of one file share an anchor)."""
+def _each(fn, texts) -> list:
+    """``fn`` of each text, or the ``InputError`` it raised."""
+    out = []
+    for text in texts:
+        try:
+            out.append(fn(text))
+        except InputError as exc:
+            out.append(exc)
+    return out
+
+
+def code_inputs(code: CodeTower, texts) -> tuple[list, list[int]]:
+    """The code tower's input for ``texts``: the bucket ids of each distinct
+    text, lexed leniently once, and each text's index in that list. A text
+    the tower cannot take has the ``InputError`` it raised in place of ids."""
     slots: dict[str, int] = {}
-    slot = [slots.setdefault(p.anchor, len(slots)) for p in pairs]
-    return [code.bucket_ids(lex(anchor, lenient=True)) for anchor in slots], slot
+    slot = [slots.setdefault(text, len(slots)) for text in texts]
+    return _each(lambda text: code.bucket_ids(lex(text, lenient=True)), slots), slot
 
 
-def _positive_styles(pairs: list[ContrastivePair]) -> np.ndarray:
-    """Normalized style vector of each positive, one row per pair, analysed
-    leniently as the anchors are lexed: one unparseable snippet must not
-    abort a run, and wherever strict analysis succeeds it gives the same."""
-    return np.stack([
-        np.asarray(normalize(analyze(p.positive, lenient=True)).values, dtype=np.float32)
-        for p in pairs
-    ])
+def style_inputs(texts) -> list:
+    """The style tower's input for ``texts``: each one's normalized style
+    vector as a float32 row, or the ``InputError`` its analysis raised.
+    Analysis is lenient, as lexing is: wherever strict analysis succeeds it
+    gives the same."""
+    return _each(lambda text: np.asarray(normalize(analyze(text, lenient=True)).values,
+                                         dtype=np.float32), texts)
+
+
+def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
+    """Both towers' inputs for ``pairs``: the pairs kept, the bucket ids of
+    each distinct anchor, each kept pair's index in that list, and each kept
+    pair's style row. A pair whose anchor or positive raised an
+    ``InputError`` is skipped with a :class:`SkippedPair` warning, or without
+    ``skip`` raises :class:`UnusablePair`."""
+    distinct_ids, slot = code_inputs(code, [p.anchor for p in pairs])
+    rows = style_inputs([p.positive for p in pairs])
+    kept = []
+    for i, pair in enumerate(pairs):
+        for side, got in (("anchor", distinct_ids[slot[i]]), ("positive", rows[i])):
+            if isinstance(got, InputError):
+                why = f"pair {pair.id!r}: {side}: {type(got).__name__}: {got}"
+                if not skip:
+                    raise UnusablePair(why) from got
+                warnings.warn(f"{why}; skipped", SkippedPair, stacklevel=3)
+                break
+        else:
+            kept.append(i)
+    return ([pairs[i] for i in kept], distinct_ids, [slot[i] for i in kept],
+            [rows[i] for i in kept])
+
+
+def _embed(model: EncoderModel, distinct_ids, slot, rows):
+    """L2-normalized code embeddings of the anchors at ``slot`` and style
+    embeddings of ``rows``; each distinct anchor runs through the tower once."""
+    code_out = {j: model.code.forward([distinct_ids[j]])[0] for j in dict.fromkeys(slot)}
+    anchors = np.stack([code_out[j] for j in slot])
+    styles = model.style.forward(rows)
+    return l2_normalize(anchors.astype(np.float64)), l2_normalize(styles.astype(np.float64))
 
 
 def embed_pairs(model: EncoderModel, pairs: list[ContrastivePair]):
-    """L2-normalized (code-anchor, style-positive) embeddings for pairs."""
-    distinct_ids, slot = _anchor_ids(model.code, pairs)
-    anchors = np.stack([model.code.forward([ids])[0] for ids in distinct_ids])[slot]
-    styles = model.style.forward(_positive_styles(pairs))
-    return l2_normalize(anchors.astype(np.float64)), l2_normalize(styles.astype(np.float64))
+    """L2-normalized (code-anchor, style-positive) embeddings, one row per
+    pair; a pair a tower cannot take raises :class:`UnusablePair`."""
+    _, *inputs = _pair_inputs(model.code, pairs, skip=False)
+    return _embed(model, *inputs)
 
 
 def recall_at_k(anchor_embs: np.ndarray, style_embs: np.ndarray,
@@ -379,7 +436,10 @@ def recall_at_k(anchor_embs: np.ndarray, style_embs: np.ndarray,
 
 def eval_retrieval(model: EncoderModel, heldout_pairs: list[ContrastivePair],
                    k: int) -> float:
-    if not heldout_pairs:
-        raise EmptyHeldout("no held-out pairs")
-    anchors, styles = embed_pairs(model, heldout_pairs)
-    return recall_at_k(anchors, styles, [p.id for p in heldout_pairs], k)
+    """recall@k over ``heldout_pairs``. A pair a tower cannot take is skipped
+    with a :class:`SkippedPair` warning and counts as not retrieved."""
+    kept, *inputs = _pair_inputs(model.code, heldout_pairs, skip=True)
+    if not kept:
+        raise EmptyHeldout(f"no held-out pairs a tower can take, of {len(heldout_pairs)} read")
+    recall = recall_at_k(*_embed(model, *inputs), [p.id for p in kept], k)
+    return round(recall * len(kept)) / len(heldout_pairs)   # hits over every pair read

@@ -244,9 +244,6 @@ class CodeTower:
         return {"emb": (vocab, embed_dim), "w1": (hidden_dim, embed_dim),
                 "b1": (hidden_dim,), "w2": (out_dim, hidden_dim), "b2": (out_dim,)}
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.params.values())
-
     def bucket(self, kind: str, text: str) -> int:
         digest = hashlib.blake2b(
             f"{kind}:{text}".encode("utf-8"), digest_size=8, key=self._key
@@ -305,18 +302,12 @@ class CodeTower:
         grads["emb"] = RowGrad(rows, values, p["emb"].shape)
         return grads
 
-    def embed_source_tokens(self, tokens: list[Token]) -> np.ndarray:
-        return self.forward([self.bucket_ids(tokens)])[0]
-
 
 @dataclass
 class EncoderModel:
     """The trained pair of towers; the hashing seed is ``code.hash_seed``."""
     style: StyleTower
     code: CodeTower
-
-    def param_count(self) -> int:
-        return self.style.param_count() + self.code.param_count()
 
 
 def l2_normalize(x: np.ndarray, eps: float = 1e-12) -> np.ndarray:

@@ -268,12 +268,13 @@ def test_criterion_9_checkpoint_round_trip(tmp_path):
         x = np.random.default_rng(seed).random((2, 34)).astype(np.float32)
         toks = lex("def f(a):\n    return a + 1")
         style_before = model.style.forward(x)
-        code_before = model.code.embed_source_tokens(toks)
+        code_before = model.code.forward([model.code.bucket_ids(toks)])[0]
         path = tmp_path / f"model{seed}.ckpt"
         checkpoint.save(model, path)
         loaded = checkpoint.load(path)
         ok = ok and np.array_equal(loaded.style.forward(x), style_before)
-        ok = ok and np.array_equal(loaded.code.embed_source_tokens(toks), code_before)
+        ok = ok and np.array_equal(loaded.code.forward([loaded.code.bucket_ids(toks)])[0],
+                                   code_before)
 
     good = tmp_path / "model0.ckpt"
     data = good.read_bytes()

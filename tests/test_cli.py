@@ -269,13 +269,18 @@ def test_pairs_train_embed_eval_pipeline(tmp_path, capsys):
     assert ckpt.exists()
     assert ckpt.with_suffix(".log.csv").exists()
 
-    code, out, _ = run(capsys, "embed", src_dir / "f0.py", "--ckpt", ckpt, "--json")
-    assert code == 0
-    assert json.loads(out)["dim"] == 1024
-
-    code, out, _ = run(capsys, "embed", src_dir / "f0.py", "--ckpt", ckpt,
-                       "--tower", "code", "--json")
-    assert json.loads(out)["dim"] == 1024
+    # embed gives the trained towers the inputs train gave them
+    model = stylekit.load_checkpoint(ckpt)
+    texts = [(src_dir / "f0.py").read_text()]
+    (ids,), _ = contrastive.code_inputs(model.code, texts)
+    expected = {"style": model.style.forward(contrastive.style_inputs(texts)[0]),
+                "code": model.code.forward([ids])[0]}
+    for tower, emb in expected.items():
+        flag = ["--tower", "code"] if tower == "code" else []   # style is the default
+        code, out, _ = run(capsys, "embed", src_dir / "f0.py", "--ckpt", ckpt, *flag, "--json")
+        assert code == 0
+        assert json.loads(out) == {"tower": tower, "dim": 1024,
+                                   "embedding": [float(x) for x in emb]}
 
     code, out, _ = run(capsys, "eval-retrieval", "--pairs", pairs_path,
                        "--ckpt", ckpt, "--k", "3", "--json")
@@ -331,6 +336,32 @@ def test_train_zero_epochs_is_input_error(tmp_path, capsys):
     assert code == 2
     assert json.loads(err.strip())["message"] == "epochs must be at least 1"
     assert out == "" and sorted(tmp_path.iterdir()) == [pairs]
+
+
+# A text each tower declines, with the error it raises.
+BAD_TEXTS = {"anchor": ("x = \u00b2\n", "InvalidCharacter"),
+             "positive": ("  \n", "EmptySource")}
+
+
+@pytest.mark.parametrize("side", sorted(BAD_TEXTS))
+def test_train_and_eval_retrieval_skip_a_pair_a_tower_cannot_take(tmp_path, capsys, side):
+    text, error = BAD_TEXTS[side]
+    lines = [json.loads(_pair_line(i)) for i in range(20)]
+    lines[3][side] = text
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    model = tmp_path / "model.ckpt"
+    argvs = (["train", "--pairs", pairs, "--out", model, "--epochs", "1", "--batch", "4"],
+             ["eval-retrieval", "--pairs", pairs, "--ckpt", model, "--k", "20"])
+    for argv in argvs:
+        with pytest.warns(contrastive.SkippedPair) as caught:
+            code, out, err = run(capsys, *argv, "--json")
+        assert code == 0, err
+        [message] = [str(w.message) for w in caught]
+        assert message.startswith(f"pair 'p3': {side}: {error}: ")
+        assert message.endswith("; skipped")
+    # the skipped pair counts as not retrieved: every other one is, at k 20
+    assert json.loads(out) == {"k": 20, "recall": 0.95, "pairs": 20}
 
 
 def test_unset_flags_take_the_library_defaults(tmp_path, capsys, files, monkeypatch):
@@ -459,6 +490,8 @@ def inputs(tmp_path):
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("".join(_pair_line(i) + "\n" for i in range(20)), encoding="utf-8")
     (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    (tmp_path / "one_file.jsonl").write_text("".join(
+        json.dumps({**json.loads(_pair_line(i)), "file_id": "f"}) + "\n" for i in range(8)))
     _small_checkpoint(tmp_path / "model.ckpt")
     _small_checkpoint(tmp_path / "narrow.ckpt", style_layers=(30, 8, 8, 8, 16))
     (tmp_path / "a.py").write_text(SRC)
@@ -468,8 +501,8 @@ def inputs(tmp_path):
     (tmp_path / "corpus.jsonl").write_text(
         json.dumps({"id": "r", "code1": RICH, "code2": RICH}) + "\n")
     return {name: tmp_path / name for name in (
-        "pairs.jsonl", "empty.jsonl", "model.ckpt", "narrow.ckpt", "a.py", "blank.py",
-        "cast.conf", "line.conf", "corpus.jsonl", "out.file")}
+        "pairs.jsonl", "empty.jsonl", "one_file.jsonl", "model.ckpt", "narrow.ckpt", "a.py",
+        "blank.py", "cast.conf", "line.conf", "corpus.jsonl", "out.file")}
 
 
 def _train(f, *extra):
@@ -489,6 +522,8 @@ INPUT_ERRORS = {
     "temp_nan": lambda f: _train(f, "--temp", "nan"),
     "train_seed_negative": lambda f: _train(f, "--seed", "-1"),
     "too_few_pairs": lambda f: _train(f, "--batch", "32"),
+    "pairs_of_one_file": lambda f: ["train", "--pairs", f["one_file.jsonl"], "--out",
+                                    f["out.file"], "--epochs", "1", "--batch", "4"],
     "config_cast": lambda f: _train(f, "--config", f["cast.conf"]),
     "config_line": lambda f: _train(f, "--config", f["line.conf"]),
     "k_zero": lambda f: ["eval-retrieval", "--pairs", f["pairs.jsonl"],
@@ -582,7 +617,8 @@ NOT_INPUT_ERRORS = {cli.UsageError: 1, contrastive.UnnormalizedInput: 3,
 
 
 def test_every_declared_error_is_bad_input_or_named_as_not():
-    assert {InputError, ckpt.BadMagic, InvalidCharacter, cli.InvalidConfig} <= set(EXCEPTIONS)
+    assert {InputError, ckpt.BadMagic, InvalidCharacter, cli.InvalidConfig,
+            contrastive.UnusablePair} <= set(EXCEPTIONS)
     assert set(NOT_INPUT_ERRORS) <= set(EXCEPTIONS)
     assert [cls for cls in EXCEPTIONS
             if issubclass(cls, InputError) == (cls in NOT_INPUT_ERRORS)] == []

@@ -13,6 +13,7 @@ from stylekit.contrastive import (
     NonFiniteLoss,
     TrainConfig,
     UnnormalizedInput,
+    UnusablePair,
     build_pairs,
     embed_pairs,
     eval_retrieval,
@@ -25,7 +26,7 @@ from stylekit.contrastive import (
     train,
 )
 from stylekit.corpus import DEFAULT_MAX_TOKENS, from_sources, token_count
-from stylekit.nn import l2_normalize
+from stylekit.nn import CodeTower, EncoderModel, StyleTower, l2_normalize
 
 THREE_FUNCS = (
     "def a(x):\n    u = x + 1\n    v = u * 2\n    return v\n"
@@ -240,7 +241,7 @@ def test_train_equals_a_dense_adam_reference_bit_for_bit():
     from test_nn import adam_step_dense
 
     from stylekit import contrastive
-    from stylekit.nn import CodeTower, StyleTower, l2_normalize_backward, new_adam_state
+    from stylekit.nn import l2_normalize_backward, new_adam_state
 
     pairs = tiny_pairs()
     cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
@@ -249,8 +250,8 @@ def test_train_equals_a_dense_adam_reference_bit_for_bit():
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
-    distinct_ids, slot = contrastive._anchor_ids(code, pairs)
-    style_vecs = contrastive._positive_styles(pairs)
+    distinct_ids, slot = contrastive.code_inputs(code, [p.anchor for p in pairs])
+    style_vecs = np.stack(contrastive.style_inputs([p.positive for p in pairs]))
     opt_style, opt_code = new_adam_state(style.params), new_adam_state(code.params)
     quiet = set()   # emb rows that had a gradient once and then a silent batch
     seen = set()
@@ -444,6 +445,20 @@ def test_recall_random_embeddings_expectation():
         total += recall_at_k(a, s, [f"p{i}" for i in range(n)], 1)
     mean = total / runs
     assert 0.2 / n < mean < 3.0 / n
+
+
+def test_embed_pairs_names_a_pair_a_tower_cannot_take():
+    model = EncoderModel(
+        style=StyleTower(seed=0, layers=(34, 8, 8, 8, 16)),
+        code=CodeTower(seed=1, vocab=64, embed_dim=8, hidden_dim=8, out_dim=16),
+    )
+    pairs = tiny_pairs(2)
+    anchors, styles = embed_pairs(model, pairs)
+    assert anchors.shape == styles.shape == (len(pairs), 16)
+    bad = ContrastivePair(id="bad:0", file_id="bad", anchor="x = \u00b2\n",
+                          positive=pairs[0].positive)
+    with pytest.raises(UnusablePair, match="^pair 'bad:0': anchor: InvalidCharacter: "):
+        embed_pairs(model, [*pairs, bad])
 
 
 def test_eval_retrieval_empty_heldout():

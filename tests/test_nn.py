@@ -81,7 +81,7 @@ def test_style_forward_golden_hash():
 def test_code_forward_golden_hash():
     tower = CodeTower(seed=43, hash_seed=7)
     toks = lex("def add_nums(a, b):\n    return a + b")
-    emb = tower.embed_source_tokens(toks)
+    emb = tower.forward([tower.bucket_ids(toks)])[0]
     digest = hashlib.sha256(emb.astype("<f4").tobytes()).hexdigest()
     assert digest == CODE_GOLDEN_SHA
 
@@ -486,12 +486,13 @@ def test_checkpoint_round_trip_forward_bit_identical(tmp_path):
         x = np.random.default_rng(seed).random((2, 34)).astype(np.float32)
         before = model.style.forward(x)
         toks = lex("def f(a):\n    return a + 1")
-        code_before = model.code.embed_source_tokens(toks)
+        code_before = model.code.forward([model.code.bucket_ids(toks)])[0]
         path = tmp_path / f"m{seed}.ckpt"
         checkpoint.save(model, path)
         loaded = checkpoint.load(path)
         assert np.array_equal(loaded.style.forward(x), before)
-        assert np.array_equal(loaded.code.embed_source_tokens(toks), code_before)
+        assert np.array_equal(loaded.code.forward([loaded.code.bucket_ids(toks)])[0],
+                              code_before)
 
 
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
