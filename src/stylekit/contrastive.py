@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -69,6 +70,10 @@ class InsufficientSnippets(UserWarning):
 
 class SkippedPair(UserWarning):
     pass
+
+
+class UntrainedPairs(UserWarning):
+    """The batch sampler left pairs out of an epoch."""
 
 
 @dataclass(frozen=True)
@@ -257,7 +262,8 @@ class EpochLog:
 
 def _stratified_batches(pairs: list[ContrastivePair], batch_size: int,
                         rng: np.random.Generator) -> list[list[int]]:
-    """Shuffled batches that avoid two pairs of one file per batch."""
+    """Shuffled batches that avoid two pairs of one file per batch. A pair
+    left in a batch of its own sits the epoch out."""
     order = list(rng.permutation(len(pairs)))
     batches: list[list[int]] = []
     files: list[set[str]] = []
@@ -282,7 +288,26 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
 
     A pair a tower cannot take is skipped with a :class:`SkippedPair`
     warning. The pairs left must fill a batch and span two files: a batch
-    draws its negatives from other files."""
+    draws its negatives from other files. If the sampler leaves pairs out of
+    an epoch, one :class:`UntrainedPairs` warning gives the fewest any
+    epoch trained.
+
+    The towers share nothing until InfoNCE joins them. When both towers'
+    BLAS threads fit on the CPUs this process may use (see
+    :func:`_overlap_towers`), each step runs the code tower on one helper
+    thread while the caller's thread runs the style tower: the code tower's
+    forward beside the style tower's, then the code tower's backward and
+    Adam step beside the style tower's. Otherwise the towers run one after
+    the other on the caller's thread, code tower first. Each tower's
+    operations keep their order and touch only its own arrays, so every
+    parameter, moment and loss is bit-identical either way. Timed on a
+    2-core Xeon, a 3-epoch desk-scale run took 3.54 s overlapped against
+    4.48 s one after the other with one OpenBLAS thread. With OpenBLAS's
+    default two threads the overlap took 4.97 s against 4.32 s, as the two
+    sides' matrix products contend for the cores, so there the towers run
+    one after the other. The helper lives only for this call. An error on
+    either side is raised once both have finished the step, and the code
+    tower's error wins, as when it runs first."""
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
@@ -300,19 +325,28 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
 
     opt_style = new_adam_state(style.params)
     opt_code = new_adam_state(code.params)
+
+    def code_step(cache, dout):
+        adam_step(code.params, code.backward(cache, dout), opt_code, lr=cfg.lr)
+
     logs: list[EpochLog] = []
+    fewest = len(pairs)   # pairs trained in the epoch that trained the fewest
     # Overflow from too large an lr ends as the NonFiniteLoss check below.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _helper() as helper, np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             losses = []
-            for batch_no, batch in enumerate(_stratified_batches(pairs, cfg.batch_size, rng)):
-                ids = [anchor_ids[i] for i in batch]
-                svecs = style_vecs[batch]
+            batches = _stratified_batches(pairs, cfg.batch_size, rng)
+            fewest = min(fewest, sum(map(len, batches)))
+            for batch_no, batch in enumerate(batches):
                 code_cache: dict = {}
                 style_cache: dict = {}
-                code_out = code.forward(ids, code_cache).astype(np.float64)
-                style_out = style.forward(svecs, style_cache).astype(np.float64)
+                code_fwd = helper.submit(_quiet, code.forward,
+                                         [anchor_ids[i] for i in batch], code_cache)
+                try:
+                    style_out = style.forward(style_vecs[batch], style_cache).astype(np.float64)
+                finally:
+                    code_out = code_fwd.result().astype(np.float64)
                 a = l2_normalize(code_out)
                 p = l2_normalize(style_out)
                 loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
@@ -322,16 +356,23 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                 losses.append(loss)
                 dcode = l2_normalize_backward(code_out, da)
                 dstyle = l2_normalize_backward(style_out, dp)
-                code_grads = code.backward(code_cache, dcode.astype(np.float32))
-                style_grads = style.backward(style_cache, dstyle.astype(np.float32))
-                adam_step(code.params, code_grads, opt_code, lr=cfg.lr)
-                adam_step(style.params, style_grads, opt_style, lr=cfg.lr)
+                code_bwd = helper.submit(_quiet, code_step, code_cache,
+                                         dcode.astype(np.float32))
+                try:
+                    style_grads = style.backward(style_cache, dstyle.astype(np.float32))
+                    adam_step(style.params, style_grads, opt_style, lr=cfg.lr)
+                finally:
+                    code_bwd.result()
             wall_ms = (time.perf_counter() - t0) * 1000.0
             entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(losses)),
                              wall_ms=wall_ms)
             logs.append(entry)
             if log_fn is not None:
                 log_fn(entry)
+    if fewest < len(pairs):
+        warnings.warn(f"an epoch trained only {fewest} of {len(pairs)} pairs: the sampler "
+                      "keeps two pairs of one file out of a batch, and a pair left "
+                      "alone forms none", UntrainedPairs, stacklevel=2)
 
     if log_path is not None:
         with Path(log_path).open("w", encoding="utf-8") as fh:
@@ -342,6 +383,65 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
         from . import checkpoint as ckpt
         ckpt.save(model, checkpoint_path)
     return model, logs
+
+
+# OpenBLAS takes its thread count from the first of these that is set, else
+# one thread per CPU the process may use.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _overlap_towers() -> bool:
+    """Whether ``train`` runs the code tower on a helper thread: only if
+    both towers' BLAS threads fit on the CPUs this process may use. Two
+    pools of one thread per CPU contend, and the overlap then runs slower
+    than one tower after the other."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
+                 if v and v.strip().isdigit() and int(v) > 0), cpus)
+    return 2 * blas <= cpus
+
+
+def _helper():
+    """Where the code tower's calls run: on one helper thread if
+    :func:`_overlap_towers` selects it, else at once on the caller's."""
+    if not _overlap_towers():
+        return _Inline()
+    # imported here, as it costs the CLI's start-up about 8 ms
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers=1)
+
+
+class _Inline:
+    """An executor that runs each call as it is submitted, on the caller's
+    thread, and raises its error there."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
+    def submit(self, fn, *args) -> _Done:
+        return _Done(fn(*args))
+
+
+@dataclass(frozen=True)
+class _Done:
+    """A call's result, read as a future's."""
+    value: object
+
+    def result(self):
+        return self.value
+
+
+def _quiet(fn, *args):
+    """``fn(*args)`` with numpy's overflow and invalid warnings off: a
+    thread does not inherit its caller's ``np.errstate``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return fn(*args)
 
 
 def _each(fn, texts) -> list:

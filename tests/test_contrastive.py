@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
 
+from stylekit import contrastive
 from stylekit.contrastive import (
     ContrastivePair,
     EmptyHeldout,
@@ -13,6 +18,7 @@ from stylekit.contrastive import (
     NonFiniteLoss,
     TrainConfig,
     UnnormalizedInput,
+    UntrainedPairs,
     UnusablePair,
     build_pairs,
     embed_pairs,
@@ -235,6 +241,129 @@ def test_train_loss_decreases_on_tiny_corpus():
     assert logs[-1].mean_loss < logs[0].mean_loss
 
 
+def test_train_warns_once_when_the_sampler_leaves_pairs_out(tmp_path):
+    # 7 pairs of file A and 1 of file B: each epoch's one batch is [A_k, B]
+    pairs = [ContrastivePair(p.id, "B" if i == 7 else "A", p.anchor, p.positive)
+             for i, p in enumerate(tiny_pairs()[:8])]
+    log = tmp_path / "log.csv"
+    with pytest.warns(UntrainedPairs) as caught:
+        train(pairs, TrainConfig(epochs=3, batch_size=4, seed=0), log_path=log)
+    messages = [str(w.message) for w in caught if w.category is UntrainedPairs]
+    assert len(messages) == 1 and "only 2 of 8 pairs" in messages[0]
+    assert log.read_text().splitlines()[0] == "epoch,mean_loss,wall_ms"
+
+
+@pytest.fixture(params=[True, False], ids=["overlapped", "in_turn"])
+def overlap(request, monkeypatch):
+    """Run ``train``'s towers on a helper thread, or one after the other,
+    whatever this host's CPUs and BLAS threads would select."""
+    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("blas, cpus, expected", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({}, 2, False),                              # OpenBLAS default: one per CPU
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),   # one CPU
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, True),
+    ({"OPENBLAS_NUM_THREADS": "8"}, 4, False),
+    ({"OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, False),   # unset to OpenBLAS
+    ({"OPENBLAS_NUM_THREADS": "one"}, 2, False),
+])
+def test_towers_overlap_only_where_both_blas_pools_fit(monkeypatch, blas, cpus, expected):
+    for var in contrastive._BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert contrastive._overlap_towers() is expected
+
+
+def test_overlapped_and_in_turn_training_are_bit_identical(monkeypatch, tmp_path):
+    results = []
+    for overlapped in (True, False):
+        monkeypatch.setattr(contrastive, "_overlap_towers", lambda: overlapped)
+        path = tmp_path / f"{overlapped}.ckpt"
+        with pytest.warns(UntrainedPairs):
+            _, logs = train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=11),
+                            checkpoint_path=path)
+        results.append((path.read_bytes(), [repr(e.mean_loss) for e in logs]))
+    assert results[0] == results[1]
+
+
+def test_diverging_train_raises_non_finite_loss_with_warnings_as_errors(overlap):
+    # numpy's error state is per thread, so the code tower's helper thread
+    # must ignore the overflow itself, or it raises a RuntimeWarning here
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteLoss):
+            train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=0, lr=1e30))
+
+
+class TowerFailure(RuntimeError):
+    pass
+
+
+def broken(self, cache, dout):
+    raise TowerFailure(f"{type(self).__name__} failed")
+
+
+@pytest.mark.parametrize("failing, other", [(CodeTower, StyleTower), (StyleTower, CodeTower)],
+                         ids=["code", "style"])
+def test_train_raises_a_tower_error_after_both_sides_finish(monkeypatch, failing, other):
+    """With the towers overlapped, one tower's backward raises and the
+    other's is slow. ``train`` raises that error only once the slow side
+    has finished, and leaves no thread."""
+    finished = []
+    original = other.backward
+
+    def slow(self, cache, dout):
+        time.sleep(0.2)
+        grads = original(self, cache, dout)
+        finished.append(other)
+        return grads
+
+    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(other, "backward", slow)
+    monkeypatch.setattr(failing, "backward", broken)
+    threads = threading.active_count()
+    with pytest.raises(TowerFailure, match=f"^{failing.__name__} failed$"):
+        train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert finished == [other]
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("step", ["forward", "backward"])
+def test_train_raises_the_code_towers_error_when_both_towers_fail(monkeypatch, overlap, step):
+    monkeypatch.setattr(CodeTower, step, broken)
+    monkeypatch.setattr(StyleTower, step, broken)
+    threads = threading.active_count()
+    with pytest.raises(TowerFailure, match="^CodeTower failed$"):
+        train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert threading.active_count() == threads
+
+
+def test_train_runs_the_code_tower_where_selected_on_a_helper_that_ends_with_it(
+        monkeypatch, overlap):
+    ran_on = set()
+    original = CodeTower.forward
+
+    def recorded(self, *args):
+        ran_on.add(threading.current_thread())
+        return original(self, *args)
+
+    monkeypatch.setattr(CodeTower, "forward", recorded)
+    threads = threading.active_count()
+    train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert len(ran_on) == 1
+    assert (threading.current_thread() not in ran_on) is overlap
+    assert threading.active_count() == threads
+    if overlap:
+        assert not any(t.is_alive() for t in ran_on)
+
+
 def test_train_equals_a_dense_adam_reference_bit_for_bit():
     """Two epochs of ``train``, and the same steps again with every ``emb``
     gradient densified and the whole-tensor Adam of ``test_nn``."""
@@ -297,8 +426,9 @@ def test_train_deterministic_checkpoints(tmp_path):
     pairs = tiny_pairs()
     cfg = TrainConfig(epochs=2, batch_size=4, seed=11)
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    train(pairs, cfg, checkpoint_path=p1)
-    train(pairs, cfg, checkpoint_path=p2)
+    for path in (p1, p2):
+        with pytest.warns(UntrainedPairs, match="only 23 of 24 pairs"):
+            train(pairs, cfg, checkpoint_path=path)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -356,7 +486,8 @@ def test_train_and_embed_survive_an_unparseable_positive():
         analyze(colonless)
     bad = ContrastivePair(id="bad:0", file_id="bad", anchor=colonless, positive=colonless)
     pairs = tiny_pairs() + [bad]
-    model, logs = train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
+    with pytest.warns(UntrainedPairs, match="only 24 of 25 pairs"):
+        model, logs = train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
     assert len(logs) == 1 and math.isfinite(logs[0].mean_loss)
     anchors, styles = embed_pairs(model, pairs[-4:])
     assert anchors.shape == styles.shape and np.all(np.isfinite(styles))
