@@ -340,6 +340,42 @@ SNIPPETS = [
         "except_specific": 0, "except_total": 0,
         "dup_extra": 0, "code_lines": 2,
     },
+    {
+        "name": "walrus_as_tabs",
+        "source": (
+            "import os as system\n"
+            'TEXT = """\n'
+            "# not a comment\n"
+            '"""\n'
+            "values=[1,\n"
+            "        # first\n"
+            "        2]\n"
+            "def pick(items, key):\n"
+            "\tif (found := key) in items:  # inline\n"
+            "\t\treturn items[found] + 1\n"
+            "\treturn f(g(h(items)))[key]"
+        ),
+        # ``as`` and walrus targets bind in statements that open with a
+        # keyword; ``os`` is the imported module, not a binding.
+        "identifiers": [
+            ("system", "snake"), ("TEXT", "upper"), ("values", "snake"),
+            ("pick", "snake"), ("items", "snake"), ("key", "snake"), ("found", "snake"),
+        ],
+        # The last two sit on tab-indented lines, where display column and
+        # offset differ.
+        "binary_ops": [("=", True), ("=", False), (":=", True), ("+", True)],
+        # "# first" inside the brackets and the inline "# inline"; the line
+        # inside the string is code.
+        "comment_lines": 2, "defs": 1, "arrow_defs": 0,
+        # modal leading column is 8: two spaced lines and one of two tabs;
+        # the two one-tab lines (4 columns) miss it
+        "consistent_indented": 3,
+        # f(g(h(...))) nests three calls; the subscript after it is none
+        "functions": [fn(depth=3, branch=1, ret=2, args=2, length=3, ctrl=1, params=2)],
+        "except_specific": 0, "except_total": 0,
+        # every line but the comment-only one, none repeated
+        "dup_extra": 0, "code_lines": 10,
+    },
 ]
 
 

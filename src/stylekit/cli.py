@@ -4,7 +4,9 @@ Subcommands: analyze, css, diff, score, pairs, train, embed,
 eval-retrieval, corpus. Data goes to stdout, diagnostics to stderr.
 Exit codes: 0 success, 1 usage error, 2 bad input (an ``InputError``, or an
 OS error on a path you named), 3 internal error. With ``--json``, errors are
-emitted on stderr as one-line JSON.
+emitted on stderr as one-line JSON. ``--out`` of a report (analyze, css, diff,
+score, embed, eval-retrieval) gets the CSV printed under ``--csv``, or else the
+JSON document; for corpus, pairs and train it is the data path.
 """
 
 from __future__ import annotations
@@ -156,20 +158,26 @@ def _emit(args, doc: dict, text: str) -> None:
         print(text)
 
 
+def _report(args, doc: dict, text: str, csv: str | None = None) -> None:
+    """Print a report, and write it to ``--out`` if given. Under ``--csv`` a
+    report with a CSV form prints it, and ``--out`` gets the same text;
+    otherwise ``--out`` gets the JSON document that ``--json`` prints."""
+    if args.csv and csv is not None:
+        sys.stdout.write(csv)
+        saved = csv
+    else:
+        _emit(args, doc, text)
+        saved = json.dumps(doc) + "\n"
+    if args.out:
+        Path(args.out).write_text(saved, encoding="utf-8", newline="")
+
+
 def _cmd_analyze(args) -> int:
     raw = features.analyze(_read(args.file), lenient=bool(args.lenient))
     vec = features.normalize(raw)
-    if args.csv:
-        sys.stdout.write(features.to_csv(raw, vec))
-        return EXIT_OK
     doc = features.to_json_document(raw, vec)
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        for name, value in doc["raw"].items():
-            print(f"{name:26s} {value:.6g}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    text = "\n".join(f"{name:26s} {value:.6g}" for name, value in doc["raw"].items())
+    _report(args, doc, text, features.to_csv(raw, vec))
     return EXIT_OK
 
 
@@ -180,7 +188,7 @@ def _vec_of(path: str, lenient: bool) -> features.StyleVector:
 def _cmd_css(args) -> int:
     value = metrics.css(_vec_of(args.file_a, args.lenient),
                         _vec_of(args.file_b, args.lenient))
-    _emit(args, {"css": value}, repr(value))
+    _report(args, {"css": value}, repr(value))
     return EXIT_OK
 
 
@@ -194,21 +202,18 @@ _SECTIONS = (
 def _cmd_diff(args) -> int:
     raw_a = features.analyze(_read(args.file_a), lenient=bool(args.lenient))
     raw_b = features.analyze(_read(args.file_b), lenient=bool(args.lenient))
-    sections = {
-        section: zip(features.REGISTRY[sl], raw_a.values[sl], raw_b.values[sl])
+    doc = {
+        section: [{"feature": name, "a": a, "b": b, "delta": b - a} for name, a, b
+                  in zip(features.REGISTRY[sl], raw_a.values[sl], raw_b.values[sl])]
         for section, sl in _SECTIONS
     }
-    if args.json:
-        print(json.dumps({
-            section: [{"feature": name, "a": a, "b": b, "delta": b - a} for name, a, b in rows]
-            for section, rows in sections.items()
-        }))
-        return EXIT_OK
     width = max(len(n) for n in features.REGISTRY)
-    for section, rows in sections.items():
-        print(f"[{section}]")
-        for name, a, b in rows:
-            print(f"  {name:<{width}}  {a:>12.6g}  {b:>12.6g}  {b - a:>+12.6g}")
+    text = []
+    for section, rows in doc.items():
+        text.append(f"[{section}]")
+        text.extend(f"  {row['feature']:<{width}}  {row['a']:>12.6g}  {row['b']:>12.6g}"
+                    f"  {row['delta']:>+12.6g}" for row in rows)
+    _report(args, doc, "\n".join(text))
     return EXIT_OK
 
 
@@ -222,29 +227,20 @@ def _cmd_score(args) -> int:
         doc["total_loss"] = metrics.total_loss(
             args.ce, report.style_loss, metrics.LossConfig(**weight)
         )
-    if args.csv:
-        header = ["css", "bleu4", "rouge1_f1", "rouge2_f1", "rougeL_f1", "style_loss"]
-        row = [report.css, report.bleu4, report.rouge1.f1, report.rouge2.f1,
-               report.rougeL.f1, report.style_loss]
-        if "total_loss" in doc:
-            header.append("total_loss")
-            row.append(doc["total_loss"])
-        print(",".join(header))
-        print(",".join(repr(v) for v in row))
-        return EXIT_OK
-    if args.json:
-        print(json.dumps(doc))
-    else:
-        print(f"css        {report.css:.6f}")
-        print(f"bleu4      {report.bleu4:.6f}")
-        for name, r in (("rouge1", report.rouge1), ("rouge2", report.rouge2),
-                        ("rougeL", report.rougeL)):
-            print(f"{name:10s} p={r.precision:.6f} r={r.recall:.6f} f1={r.f1:.6f}")
-        print(f"style_loss {report.style_loss:.6g}")
-        if "total_loss" in doc:
-            print(f"total_loss {doc['total_loss']:.6g}")
-    if args.out:
-        Path(args.out).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    header = ["css", "bleu4", "rouge1_f1", "rouge2_f1", "rougeL_f1", "style_loss"]
+    row = [report.css, report.bleu4, report.rouge1.f1, report.rouge2.f1,
+           report.rougeL.f1, report.style_loss]
+    text = [f"css        {report.css:.6f}", f"bleu4      {report.bleu4:.6f}"]
+    text.extend(f"{name:10s} p={r.precision:.6f} r={r.recall:.6f} f1={r.f1:.6f}"
+                for name, r in (("rouge1", report.rouge1), ("rouge2", report.rouge2),
+                                ("rougeL", report.rougeL)))
+    text.append(f"style_loss {report.style_loss:.6g}")
+    if "total_loss" in doc:
+        header.append("total_loss")
+        row.append(doc["total_loss"])
+        text.append(f"total_loss {doc['total_loss']:.6g}")
+    csv = ",".join(header) + "\n" + ",".join(repr(v) for v in row) + "\n"
+    _report(args, doc, "\n".join(text), csv)
     return EXIT_OK
 
 
@@ -307,8 +303,8 @@ def _cmd_embed(args) -> int:
     emb = (model.style.forward(given) if args.tower == "style"
            else model.code.forward([given])[0])
     values = [float(x) for x in np.asarray(emb).ravel()]
-    _emit(args, {"tower": args.tower, "dim": len(values), "embedding": values},
-          " ".join(f"{v:.6g}" for v in values))
+    _report(args, {"tower": args.tower, "dim": len(values), "embedding": values},
+            " ".join(f"{v:.6g}" for v in values))
     return EXIT_OK
 
 
@@ -317,8 +313,8 @@ def _cmd_eval_retrieval(args) -> int:
     pairs = contrastive.pairs_from_jsonl(args.pairs)
     k = 1 if args.k is None else args.k
     recall = contrastive.eval_retrieval(model, pairs, k)
-    _emit(args, {"k": k, "recall": recall, "pairs": len(pairs)},
-          f"recall@{k} = {recall:g} over {len(pairs)} pairs")
+    _report(args, {"k": k, "recall": recall, "pairs": len(pairs)},
+            f"recall@{k} = {recall:g} over {len(pairs)} pairs")
     return EXIT_OK
 
 

@@ -141,8 +141,8 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
             auto_id += 1
             if rec_id in seen_ids:
                 raise MalformedRecord(line_no, f"duplicate id {rec_id!r}")
-            try:
-                too_long = max(token_count(code1), token_count(code2)) > max_tokens
+            try:  # a source file gives code1 == code2: count it once, code1 first
+                too_long = max(map(token_count, dict.fromkeys((code1, code2)))) > max_tokens
             except LexError as exc:
                 raise MalformedRecord(line_no, f"{type(exc).__name__}: {exc}") from exc
         except MalformedRecord:

@@ -217,18 +217,23 @@ def _adjacent_ok(tokens: list[Token], i: int) -> bool:
 def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
     toks = stmt.tokens
     names: list[str] = []
-    depths = bracket_depths(toks)
+    # Only the operator, keyword or punct token has the text ``:=``, ``as``,
+    # ``=`` or ``:``, so a text test stands for a kind test.
+    texts = [tok[1] for tok in toks]
+    depths = None  # the bracket depths, computed when a scan needs them
 
     # walrus targets at any depth
-    for i, tok in enumerate(toks[:-1]):
-        if (tok.kind is TokenKind.IDENTIFIER
-                and toks[i + 1].kind is TokenKind.OPERATOR
-                and toks[i + 1].text == ":="):
-            names.append(tok.text)
+    if ":=" in texts:
+        for i, tok in enumerate(toks[:-1]):
+            if tok.kind is TokenKind.IDENTIFIER and texts[i + 1] == ":=":
+                names.append(tok.text)
 
     # ``as`` targets (imports, with, except)
-    for i, tok in enumerate(toks):
-        if tok.kind is TokenKind.KEYWORD and tok.text == "as":
+    if "as" in texts:
+        depths = bracket_depths(toks)
+        for i, text in enumerate(texts):
+            if text != "as":
+                continue
             j = i + 1
             while j < len(toks):
                 t = toks[j]
@@ -263,14 +268,18 @@ def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
         return names
 
     # plain / annotated / chained assignment targets
+    if "=" not in texts:
+        return names
+    if depths is None:
+        depths = bracket_depths(toks)
     last_eq = None
     first_colon = None
-    for i, tok in enumerate(toks):
+    for i, text in enumerate(texts):
         if depths[i] != 0:
             continue
-        if tok.kind is TokenKind.OPERATOR and tok.text == "=":
+        if text == "=":
             last_eq = i
-        elif tok.kind is TokenKind.PUNCT and tok.text == ":" and first_colon is None:
+        elif text == ":" and first_colon is None:
             first_colon = i
     if last_eq is not None:
         stop = last_eq if first_colon is None else min(last_eq, first_colon)
@@ -314,8 +323,9 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
     if n == 0:
         return [0.0] * 14
     texts = [r.text for r in identifiers]
-    chars = sum(len(t) for t in texts)
-    letters = sum(1 for t in texts for c in t if c.isalpha())
+    joined = "".join(texts)
+    chars = len(joined)
+    letters = sum(map(str.isalpha, joined))
     cats = Counter(r.category for r in identifiers)
     dists = [cats[cat] / n for cat in (  # the dist_* features, in registry order
         NameCategory.PASCAL_CASE, NameCategory.SNAKE_CASE, NameCategory.CAMEL_CASE,
@@ -324,12 +334,12 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
     punct = sum(map(source.count, string.punctuation))
     return [
         chars / n,
-        sum(1 for t in texts if not any(c.isupper() for c in t)) / n,
-        sum(t.count("_") for t in texts) / chars,
-        sum(1 for t in texts for c in t if c.isdigit()) / chars,
+        sum(1 for t in texts if not any(map(str.isupper, t))) / n,
+        joined.count("_") / chars,
+        sum(map(str.isdigit, joined)) / chars,
         punct / non_ws if non_ws else 0.0,
-        sum(1 for t in texts for c in t if c.isupper()) / letters if letters else 0.0,
-        sum(1 for t in texts for c in t if c.islower()) / letters if letters else 0.0,
+        sum(map(str.isupper, joined)) / letters if letters else 0.0,
+        sum(map(str.islower, joined)) / letters if letters else 0.0,
         *dists,
         max(dists[:4]),  # the four case styles
     ]
@@ -343,28 +353,33 @@ _MAYBE_UNARY = frozenset(("+", "-", "*", "**", "@"))
 
 def iter_binary_operators(tokens: list[Token]):
     """Yield Operator tokens standing in binary position."""
+    operator, newline, indent, dedent = (TokenKind.OPERATOR, TokenKind.NEWLINE,
+                                         TokenKind.INDENT, TokenKind.DEDENT)
     prev = None
     for tok in tokens:
-        if tok.is_synthetic():
-            prev = None if tok.kind is TokenKind.NEWLINE else prev
-            continue
-        if tok.kind is TokenKind.OPERATOR and tok.text != "~":
-            if tok.text in _MAYBE_UNARY:
-                operand_before = prev is not None and (
-                    prev.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER,
-                                  TokenKind.STRING)
-                    or (prev.kind is TokenKind.PUNCT
-                        and prev.text in _CLOSERS)
-                )
-                if operand_before:
+        kind = tok[0]
+        if kind is operator:
+            text = tok[1]
+            if text in _MAYBE_UNARY:
+                if prev is not None and (
+                    prev.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING)
+                    or (prev.kind is TokenKind.PUNCT and prev.text in _CLOSERS)
+                ):
                     yield tok
-            else:
+            elif text != "~":
                 yield tok
+        elif kind is newline:
+            prev = None
+            continue
+        elif kind is indent or kind is dedent:
+            continue
         prev = tok
 
 
 def _char_before(line_text: str, col: int) -> str:
     """Raw character left of a display column (counted as the lexer does), or ''."""
+    if "\t" not in line_text and "\f" not in line_text:
+        return line_text[col - 1] if 0 < col < len(line_text) else ""  # column == offset
     start = line_text.rfind("\f", 0, _BLANKS_RE.match(line_text).end()) + 1
     ec = 0
     for idx, ch in enumerate(line_text[start:], start):
@@ -401,9 +416,10 @@ def layout_features(doc: SourceDoc) -> list[float]:
 
     spaced = 0
     binary = 0
+    raw_lines = doc.lines
     for tok in iter_binary_operators(doc.tokens):
         binary += 1
-        if _char_before(doc.lines[tok.line - 1], tok.col) == " ":
+        if _char_before(raw_lines[tok.line - 1], tok.col) == " ":
             spaced += 1
     space_before = spaced / binary if binary else 0.0
 

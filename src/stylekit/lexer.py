@@ -385,14 +385,24 @@ def lex(source: str, lenient: bool = False) -> list[Token]:
     return _Scanner(normalize_newlines(source), lenient).run()
 
 
-@dataclass(frozen=True)
-class LineRecord:
+class LineRecord(NamedTuple):
+    """One physical line's layout facts. Like ``Token``, it equals only
+    another ``LineRecord`` of equal fields and hashes as its field tuple."""
+
     raw_length: int
     leading_ws: str
     is_blank: bool
     is_comment_only: bool
     has_inline_comment: bool
     indent_columns: int  # display width of ``leading_ws``
+
+    def __eq__(self, other):
+        return other.__class__ is LineRecord and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return other.__class__ is not LineRecord or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 @dataclass(frozen=True)
@@ -415,21 +425,22 @@ def profile_lines(raw_lines: list[str], tokens: list[Token]) -> LineProfile:
     """The line profile of a text's :func:`split_lines` from its tokens."""
     comment_lines: set[int] = set()
     code_lines: set[int] = set()
-    for tok in tokens:
-        if tok.kind is TokenKind.COMMENT:
-            comment_lines.add(tok.line)
-        elif tok.kind not in _SYNTHETIC:
-            code_lines.update(range(tok.line, tok.line + tok.text.count("\n") + 1))
+    add_code = code_lines.add
+    comment, string = TokenKind.COMMENT, TokenKind.STRING
+    for kind, text, line, _ in tokens:
+        if kind is comment:
+            comment_lines.add(line)
+        elif kind is string and "\n" in text:  # the only token that spans lines
+            code_lines.update(range(line, line + text.count("\n") + 1))
+        elif kind not in _SYNTHETIC:
+            add_code(line)
+    comment_only = comment_lines - code_lines
+    inline = comment_lines & code_lines
     records = []
     for idx, text in enumerate(raw_lines, start=1):
-        stripped = text.strip()
-        leading = text[: len(text) - len(text.lstrip())]
-        records.append(LineRecord(
-            raw_length=len(text),
-            leading_ws=leading,
-            is_blank=not stripped,
-            is_comment_only=idx in comment_lines and idx not in code_lines,
-            has_inline_comment=idx in comment_lines and idx in code_lines,
-            indent_columns=indent_columns(leading),
-        ))
+        rest = text.lstrip()
+        leading = text[: len(text) - len(rest)]
+        cols = indent_columns(leading) if "\t" in leading or "\f" in leading else len(leading)
+        records.append(_new(LineRecord, (
+            len(text), leading, not rest, idx in comment_only, idx in inline, cols)))
     return LineProfile(lines=tuple(records), total_lines=len(raw_lines))

@@ -101,19 +101,24 @@ def _logical_lines(tokens: list[Token]) -> list[tuple[int, Stmt]]:
     out: list[tuple[int, Stmt]] = []
     level = 0
     current: list[Token] = []
+    append = current.append
+    newline, comment, indent, dedent = (TokenKind.NEWLINE, TokenKind.COMMENT,
+                                        TokenKind.INDENT, TokenKind.DEDENT)
     for tok in tokens:
-        if tok.kind is TokenKind.INDENT:
-            level += 1
-        elif tok.kind is TokenKind.DEDENT:
-            level = max(0, level - 1)
-        elif tok.kind is TokenKind.NEWLINE:
+        kind = tok[0]
+        if kind is newline:
             if current:
                 out.append((level, _make_stmt(current)))
                 current = []
-        elif tok.kind is TokenKind.COMMENT:
+                append = current.append
+        elif kind is comment:
             continue
+        elif kind is indent:
+            level += 1
+        elif kind is dedent:
+            level = max(0, level - 1)
         else:
-            current.append(tok)
+            append(tok)
     if current:
         out.append((level, _make_stmt(current)))
     return out
@@ -171,7 +176,7 @@ class SourceDoc:
 
     @cached_property
     def texts(self) -> list[str]:  # non-synthetic tokens, comments included
-        return [t.text for t in self.tokens if not t.is_synthetic()]
+        return [text for _, text, _, _ in self.tokens if text]  # only synthetic ones are empty
 
     @cached_property
     def lines(self) -> list[str]:  # physical lines, split at line feeds only
@@ -332,23 +337,27 @@ def _classify_except(header: Stmt) -> ExceptKind:
 
 def _call_depth(tokens: list[Token]) -> int:
     """Nesting depth of call expressions within one statement."""
-    best = 0
+    best = calls = 0  # ``calls``: open call parens
     # A stack, not ``bracket_depths``: the depth counts open call parens only.
     stack: list[bool] = []  # True for call-parens
     prev = None
     header_paren = 2 + (tokens[0].text == "async")  # ``def f(`` opens no call
+    punct = TokenKind.PUNCT
     for i, tok in enumerate(tokens):
-        if tok.kind is TokenKind.PUNCT and tok.text in _OPENERS:
-            is_call = tok.text == "(" and prev is not None and (
-                (prev.kind is TokenKind.IDENTIFIER
-                 and not (i == header_paren and tokens[i - 2].text in ("def", "class")))
-                or (prev.kind is TokenKind.PUNCT and prev.text in (")", "]"))
-            )
-            stack.append(is_call)
-            best = max(best, sum(stack))
-        elif tok.kind is TokenKind.PUNCT and tok.text in _CLOSERS:
-            if stack:
-                stack.pop()
+        if tok[0] is punct:
+            text = tok[1]
+            if text in _OPENERS:
+                is_call = text == "(" and prev is not None and (
+                    (prev.kind is TokenKind.IDENTIFIER
+                     and not (i == header_paren and tokens[i - 2].text in ("def", "class")))
+                    or (prev.kind is punct and prev.text in (")", "]"))
+                )
+                stack.append(is_call)
+                if is_call:
+                    calls += 1
+                    best = max(best, calls)
+            elif text in _CLOSERS and stack:
+                calls -= stack.pop()
         prev = tok
     return best
 

@@ -579,6 +579,36 @@ def test_internal_value_or_key_error_is_internal(files, capsys, monkeypatch, exc
     assert json.loads(err.strip())["error"] == type(exc).__name__ and out == ""
 
 
+REPORTS = {
+    "analyze": lambda f: ["analyze", f["a.py"]],
+    "css": lambda f: ["css", f["a.py"], f["a.py"]],
+    "diff": lambda f: ["diff", f["a.py"], f["a.py"]],
+    "score": lambda f: ["score", "--candidate", f["a.py"], "--reference", f["a.py"],
+                        "--ce", "1.5"],
+    "embed": lambda f: ["embed", f["a.py"], "--ckpt", f["model.ckpt"]],
+    "eval_retrieval": lambda f: ["eval-retrieval", "--pairs", f["pairs.jsonl"],
+                                 "--ckpt", f["model.ckpt"]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORTS))
+def test_out_gets_the_json_document_printed(inputs, capsys, case):
+    code, printed, err = run(capsys, *REPORTS[case](inputs), "--json")
+    assert code == 0, err
+    code, text, err = run(capsys, *REPORTS[case](inputs), "--out", inputs["out.file"])
+    assert code == 0, err
+    assert text != printed
+    assert inputs["out.file"].read_bytes().decode("utf-8") == printed
+
+
+@pytest.mark.parametrize("case", ["analyze", "score"])
+def test_out_under_csv_gets_the_csv_printed(inputs, capsys, case):
+    code, printed, err = run(capsys, *REPORTS[case](inputs), "--csv", "--out", inputs["out.file"])
+    assert code == 0, err
+    assert len(printed.splitlines()) == (3 if case == "analyze" else 2)
+    assert inputs["out.file"].read_bytes().decode("utf-8") == printed
+
+
 NOT_A_DIRECTORY = {
     "corpus": lambda f: ["corpus", f["a.py"] / "x"],
     "pairs": lambda f: ["pairs", f["a.py"] / "x"],

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -206,6 +209,40 @@ def test_ingest_directory_of_sources(tmp_path):
     corp = ingest(tmp_path / "pkg")
     assert [r.id for r in corp.records] == ["a", "b"]
     assert all(r.code1 == r.code2 for r in corp.records)
+
+
+def test_ingest_counts_each_distinct_text_once(tmp_path, monkeypatch):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text("a = 1\n")
+    (tmp_path / "pkg" / "b.py").write_text("b = 2\n")
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [record_doc(0, "a = 1"), record_doc(1, "x = 1")])
+    counted = []
+
+    def counting(text):
+        counted.append(text)
+        return token_count(text)
+
+    monkeypatch.setattr(corpus, "token_count", counting)
+    assert [r.id for r in ingest(tmp_path / "pkg").records] == ["a", "b"]
+    assert counted == ["a = 1\n", "b = 2\n"]  # a source file is code1 and code2
+    counted.clear()
+    assert [r.id for r in ingest(path).records] == ["r0", "r1"]
+    assert counted == ["x = 1", "a = 1", "x = 1"]  # code1 first; equal sides once
+
+
+@pytest.mark.parametrize("hash_seed", ["0", "1", "2"])
+def test_both_sides_failing_to_lex_names_code1(tmp_path, hash_seed):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [record_doc(0, "y = ³", code1="y = ²")])
+    code = ("import sys; from stylekit.corpus import ingest, MalformedRecord\n"
+            "try:\n    ingest(sys.argv[1])\n"
+            "except MalformedRecord as exc:\n    print(exc.reason)\n")
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+           "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.startswith("InvalidCharacter: invalid character '²'"), out
 
 
 def test_duplicate_ids_rejected(tmp_path):

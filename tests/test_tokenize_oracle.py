@@ -16,8 +16,10 @@ The intended divergences listed in the ``stylekit.lexer`` docstring are
 mapped too, and ``test_listed_divergences`` pins each. The inputs are every
 top-level stdlib module, as is and with its trailing newlines stripped, the
 archetype corpus and held-out files, and texts built from the lexer
-differential test's fragments. From Python 3.12 ``tokenize`` splits an
-f-string into parts (PEP 701), so the oracle runs on earlier versions only.
+differential test's fragments. The line profile's comment flags are held to
+``tokenize`` on the stdlib modules that compile and on the archetype files.
+From Python 3.12 ``tokenize`` splits an f-string into parts (PEP 701), so the
+oracle runs on earlier versions only.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import archetype_corpus as ac
-from stylekit.lexer import PUNCTS, lex, normalize_newlines
+from stylekit.lexer import PUNCTS, lex, line_profile, normalize_newlines, split_lines
 from test_lexer_differential import FRAGMENTS
 
 pytestmark = pytest.mark.skipif(
@@ -162,3 +164,44 @@ def test_listed_divergences(source, tokenize_types, lex_kinds):
     assert [tokenize.tok_name[t.type] for t in raw][:-1] == tokenize_types  # no ENDMARKER
     assert [kind for kind, *_ in lexed(source)] == lex_kinds
     assert lexed(source) == oracle(source)
+
+
+# Tokens that mark layout, not source text on a line.
+_LAYOUT = (tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENDMARKER)
+
+
+def comment_flags_oracle(source: str) -> list[tuple[bool, bool]]:
+    """(comment-only, inline comment) of each line by ``tokenize``: a line
+    holds a comment when a COMMENT sits on it, and code when any other token
+    but a layout one spans it."""
+    text = normalize_newlines(source)
+    comment, code = set(), set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            comment.add(tok.start[0])
+        elif tok.type not in _LAYOUT:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return [(line in comment and line not in code, line in comment and line in code)
+            for line in range(1, len(split_lines(text)) + 1)]
+
+
+def comment_flags(source: str) -> list[tuple[bool, bool]]:
+    return [(rec.is_comment_only, rec.has_inline_comment)
+            for rec in line_profile(source).lines]
+
+
+def test_comment_flags_match_tokenize():
+    texts = [(p.name, p.read_text(encoding="utf-8")) for p in STDLIB]
+    texts = [(name, text) for name, text in texts if compiles(text)]
+    texts += [(name, source) for name, source, _ in
+              ac.make_corpus(60, seed=0) + ac.make_heldout(10, seed=1)]
+    assert len(texts) > 150
+    flagged, bad = 0, []
+    for name, text in texts:
+        want = comment_flags_oracle(text)
+        flagged += sum(flags != (False, False) for flags in want)
+        if comment_flags(text) != want:
+            bad.append(name)
+    assert flagged > 10_000
+    assert bad == []
