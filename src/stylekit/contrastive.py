@@ -22,7 +22,7 @@ import numpy as np
 
 from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, jsonl_objects
 from .features import analyze, normalize
-from .lexer import InputError, lex
+from .lexer import InputError
 from .nn import (
     CodeTower,
     EncoderModel,
@@ -116,14 +116,16 @@ def extract_snippets(source: str) -> list[str]:
     output: n nested loops would otherwise give n bodies of up to n lines.
     """
     doc = SourceDoc.of(source, lenient=True)
-    upto = [0] * (len(doc.lines) + 1)  # upto[n]: tokens on lines 1..n
+    lines = doc.lines
+    upto = [0] * (len(lines) + 1)  # upto[n]: tokens on lines 1..n
     for tok in doc.tokens:
         if not tok.is_synthetic():
             upto[tok.line] += 1
     upto = list(itertools.accumulate(upto))
-    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.stmts)
-             if upto[span.body_end] - upto[span.body_start - 1] <= DEFAULT_MAX_TOKENS]
-    lines = doc.lines
+    # A string left open by a backslash at the end of the text ends past the last line.
+    spans = [(span.body_start, min(span.body_end, len(lines))) for span in _iter_spans(doc.stmts)]
+    spans = [(start, end) for start, end in spans
+             if upto[end] - upto[start - 1] <= DEFAULT_MAX_TOKENS]
     profile = doc.profile
     run_start = None
     for idx, rec in enumerate(profile.lines, start=1):
@@ -461,7 +463,8 @@ def code_inputs(code: CodeTower, texts) -> tuple[list, list[int]]:
     the tower cannot take has the ``InputError`` it raised in place of ids."""
     slots: dict[str, int] = {}
     slot = [slots.setdefault(text, len(slots)) for text in texts]
-    return _each(lambda text: code.bucket_ids(lex(text, lenient=True)), slots), slot
+    return _each(lambda text: code.bucket_ids(SourceDoc.of(text, lenient=True).tokens),
+                 slots), slot
 
 
 def style_inputs(texts) -> list:

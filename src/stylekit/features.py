@@ -28,11 +28,12 @@ Definitions that the one-line feature names leave open are pinned here:
 
 ``analyze`` reads one :class:`~stylekit.syntax.SourceDoc` per source, and
 each feature group takes that doc, so all three share a single lex, line
-split and parse. Layout reads comment lines from the line profile and
-``type_hint_ratio`` from the function records, so a ``def`` header that
-lenient parsing skips counts in neither. Identifiers, the line profile and
-the module pseudo-function read the doc in its own mode, strict included:
-a strict lex or parse that succeeds equals the lenient one.
+split and parse. A ``def``'s parameter names come from the doc's ``defs``,
+as do ``type_hint_ratio`` and the structural group, so a header that lenient
+parsing skips counts in none of them. Layout reads operator spacing from
+``operators`` and comment lines from the line profile. Identifiers, the line
+profile and the module pseudo-function read the doc in its own mode, strict
+included: a strict lex or parse that succeeds equals the lenient one.
 
 The function records are held to the stdlib ``ast`` on valid code
 (``tests/test_ast_oracle.py``). ``body_line_span`` runs from the first line
@@ -66,17 +67,9 @@ from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import (_BLANKS_RE, _CLOSERS, TAB_WIDTH, InputError, Token, TokenKind,
-                    bracket_depths, normalize_newlines, split_lines)
-from .syntax import (
-    ExceptKind,
-    FunctionInfo,
-    SourceDoc,
-    Stmt,
-    SyntaxUnsupported,
-    _def_name_and_params,
-    _pseudo_function,
-)
+from .lexer import (TAB_WIDTH, InputError, Token, TokenKind, bracket_depths,
+                    normalize_newlines, split_lines)
+from .syntax import ExceptKind, FunctionInfo, SourceDoc, Stmt, _pseudo_function
 
 SCHEMA = "s2c-style-v1"
 
@@ -298,7 +291,8 @@ def extract_identifiers(source: str) -> list[IdentifierRecord]:
 
 def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
     names: list[str] = []
-    for stmt in doc.stmts:
+    defs = doc.defs
+    for n, stmt in enumerate(doc.stmts):
         if stmt.kind not in ("def", "class"):
             names.extend(_binding_names_in_stmt(stmt))
             continue
@@ -306,11 +300,8 @@ def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
         i = 1 if toks[0].text in ("def", "class") else 2
         if i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER:
             names.append(toks[i].text)
-        if stmt.kind == "def":
-            try:
-                names.extend(p.name for p in _def_name_and_params(stmt)[1])
-            except SyntaxUnsupported:
-                pass
+        if n in defs:  # a header that lenient parsing skips has no record
+            names.extend(p.name for p in defs[n].params)
     return [classify_identifier(name) for name in dict.fromkeys(names)]
 
 
@@ -345,50 +336,6 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
     ]
 
 
-# Every operator but ``~`` counts for the spacing feature; ``+ - * ** @``
-# are skipped in unary positions (start of expression or after another
-# operator/opener).
-_MAYBE_UNARY = frozenset(("+", "-", "*", "**", "@"))
-
-
-def iter_binary_operators(tokens: list[Token]):
-    """Yield Operator tokens standing in binary position."""
-    operator, newline, indent, dedent = (TokenKind.OPERATOR, TokenKind.NEWLINE,
-                                         TokenKind.INDENT, TokenKind.DEDENT)
-    prev = None
-    for tok in tokens:
-        kind = tok[0]
-        if kind is operator:
-            text = tok[1]
-            if text in _MAYBE_UNARY:
-                if prev is not None and (
-                    prev.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING)
-                    or (prev.kind is TokenKind.PUNCT and prev.text in _CLOSERS)
-                ):
-                    yield tok
-            elif text != "~":
-                yield tok
-        elif kind is newline:
-            prev = None
-            continue
-        elif kind is indent or kind is dedent:
-            continue
-        prev = tok
-
-
-def _char_before(line_text: str, col: int) -> str:
-    """Raw character left of a display column (counted as the lexer does), or ''."""
-    if "\t" not in line_text and "\f" not in line_text:
-        return line_text[col - 1] if 0 < col < len(line_text) else ""  # column == offset
-    start = line_text.rfind("\f", 0, _BLANKS_RE.match(line_text).end()) + 1
-    ec = 0
-    for idx, ch in enumerate(line_text[start:], start):
-        if ec == col:
-            return line_text[idx - 1] if idx > 0 else ""
-        ec += TAB_WIDTH - (ec % TAB_WIDTH) if ch == "\t" else 1
-    return ""
-
-
 def space_pattern(source: str) -> float:
     """Occupancy density of the 24x64 binary line-column matrix."""
     source = normalize_newlines(source)
@@ -414,14 +361,8 @@ def layout_features(doc: SourceDoc) -> list[float]:
     levels = [rec.indent_columns / TAB_WIDTH for rec in nonblank]
     indent_avg = fmean(levels) if levels else 0.0
 
-    spaced = 0
-    binary = 0
-    raw_lines = doc.lines
-    for tok in iter_binary_operators(doc.tokens):
-        binary += 1
-        if _char_before(raw_lines[tok.line - 1], tok.col) == " ":
-            spaced += 1
-    space_before = spaced / binary if binary else 0.0
+    operators = doc.operators
+    space_before = sum(operators.values()) / len(operators) if operators else 0.0
 
     comment_ratio = (
         sum(1 for rec in nonblank if rec.is_comment_only or rec.has_inline_comment)

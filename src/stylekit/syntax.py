@@ -13,7 +13,8 @@ no nesting depth can exhaust the interpreter's stack.
 
 A :class:`SourceDoc` is one source analysed once, for every consumer: a
 single lex and one split into lines, with the line profile, statement
-list and function records built from them. One doc serves both modes.
+list, function records (keyed by their ``def`` statement) and operator
+spacing built from them. One doc serves both modes.
 ``lenient`` only changes how the lexer treats an unterminated string and
 how the parser treats a header with no colon or a malformed ``def``
 header, so a strict lex or parse that succeeds equals the lenient one.
@@ -25,8 +26,8 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 
-from .lexer import (_CLOSERS, _OPENERS, InputError, LineProfile, Token, TokenKind,
-                    bracket_depths, lex, normalize_newlines, profile_lines, split_lines)
+from .lexer import (_BLANKS_RE, _CLOSERS, _OPENERS, TAB_WIDTH, InputError, LineProfile, Token,
+                    TokenKind, bracket_depths, lex, normalize_newlines, profile_lines, split_lines)
 
 _BLOCK_KEYWORDS = frozenset((
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -163,8 +164,8 @@ def _last_top_level_colon(tokens: list[Token]) -> int | None:
 @dataclass(frozen=True)
 class SourceDoc:
     """Newline-normalized ``text`` and its single lex; build with :meth:`of`.
-    The lines, profile, statement list and function records are built on
-    first use and kept; a strict doc's parse may raise SyntaxUnsupported."""
+    Its lines, profile, statements, function records and operator spacing are
+    built on first use and kept; a strict doc's parse may raise SyntaxUnsupported."""
     text: str
     lenient: bool
     tokens: list[Token]
@@ -191,9 +192,20 @@ class SourceDoc:
         return _parse(self.tokens, self.lenient)
 
     @cached_property
+    def defs(self) -> dict[int, FunctionInfo]:
+        """Each ``def``'s record, keyed by the index of its statement in ``stmts``."""
+        return _collect_defs(self.stmts, self.lenient)
+
+    @cached_property
     def functions(self) -> list[FunctionInfo]:
         """One record per ``def`` in source order (nested defs included)."""
-        return _collect_defs(self.stmts, self.lenient)
+        return list(self.defs.values())
+
+    @cached_property
+    def operators(self) -> dict[int, bool]:
+        """Whether a space stands before each binary operator, by token index."""
+        return {i: _char_before(self.lines[tok.line - 1], tok.col) == " "
+                for i, tok in iter_binary_operators(self.tokens)}
 
 
 def parse_module(source: str, lenient: bool = False) -> list[Stmt]:
@@ -409,8 +421,8 @@ def _function_info(stmts: list[Stmt], lo: int, hi: int, name: str,
     )
 
 
-def _collect_defs(stmts: list[Stmt], lenient: bool) -> list[FunctionInfo]:
-    records = []
+def _collect_defs(stmts: list[Stmt], lenient: bool) -> dict[int, FunctionInfo]:
+    records = {}
     for i, stmt in enumerate(stmts):
         if stmt.kind != "def":
             continue
@@ -428,9 +440,53 @@ def _collect_defs(stmts: list[Stmt], lenient: bool) -> list[FunctionInfo]:
         is_method = (scope >= 0 and stmts[scope].kind == "class") or (
             bool(params) and params[0].name in ("self", "cls")
         )
-        records.append(_function_info(stmts, i + 1, stmt.end, name, params, has_ret,
-                                      hi - lo + 1, is_method, _call_depth(stmt.tokens)))
+        records[i] = _function_info(stmts, i + 1, stmt.end, name, params, has_ret,
+                                    hi - lo + 1, is_method, _call_depth(stmt.tokens))
     return records
+
+
+# Every operator but ``~`` counts for the spacing feature; ``+ - * ** @``
+# are skipped in unary positions (start of expression or after another
+# operator/opener).
+_MAYBE_UNARY = frozenset(("+", "-", "*", "**", "@"))
+
+
+def iter_binary_operators(tokens: list[Token]):
+    """Yield (index, token) of each Operator token standing in binary position."""
+    operator, newline, indent, dedent = (TokenKind.OPERATOR, TokenKind.NEWLINE,
+                                         TokenKind.INDENT, TokenKind.DEDENT)
+    prev = None
+    for i, tok in enumerate(tokens):
+        kind = tok[0]
+        if kind is operator:
+            text = tok[1]
+            if text in _MAYBE_UNARY:
+                if prev is not None and (
+                    prev.kind in (TokenKind.IDENTIFIER, TokenKind.NUMBER, TokenKind.STRING)
+                    or (prev.kind is TokenKind.PUNCT and prev.text in _CLOSERS)
+                ):
+                    yield i, tok
+            elif text != "~":
+                yield i, tok
+        elif kind is newline:
+            prev = None
+            continue
+        elif kind is indent or kind is dedent:
+            continue
+        prev = tok
+
+
+def _char_before(line_text: str, col: int) -> str:
+    """Raw character left of a display column (counted as the lexer does), or ''."""
+    if "\t" not in line_text and "\f" not in line_text:
+        return line_text[col - 1] if 0 < col < len(line_text) else ""  # column == offset
+    start = line_text.rfind("\f", 0, _BLANKS_RE.match(line_text).end()) + 1
+    ec = 0
+    for idx, ch in enumerate(line_text[start:], start):
+        if ec == col:
+            return line_text[idx - 1] if idx > 0 else ""
+        ec += TAB_WIDTH - (ec % TAB_WIDTH) if ch == "\t" else 1
+    return ""
 
 
 def parse_functions(source: str, lenient: bool = False) -> list[FunctionInfo]:

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import importlib
 import json
+import os
 import pkgutil
 import struct
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -397,6 +400,20 @@ def test_config_file_flags_win(tmp_path, capsys, files):
                        "--json", "--ce", "1.0", "--lambda", "0.0", "--config", cfg)
     doc = json.loads(out)
     assert doc["total_loss"] == pytest.approx(1.0)
+
+
+def test_pairs_names_a_file_with_no_snippets_and_goes_on(tmp_path):
+    # The warning is printed by the interpreter, so the CLI runs in its own process.
+    src_dir = tmp_path / "srcs"
+    src_dir.mkdir()
+    (src_dir / "open_string.py").write_bytes(b"def:'\\\n")
+    (src_dir / "good.py").write_text(RICH)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-m", "stylekit.cli", "pairs", str(src_dir)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "'open_string'" in done.stderr
+    assert [json.loads(line)["file_id"] for line in done.stdout.splitlines()] == ["good"] * 2
 
 
 def test_determinism_same_seed_same_output(tmp_path, capsys):

@@ -80,6 +80,12 @@ def test_extract_snippets_minimum_three_nonblank_lines():
     assert extract_snippets(src) == []
 
 
+def test_extract_snippets_of_a_string_left_open_by_a_backslash_at_the_end():
+    # The inline body's string takes the final line feed, so it ends on
+    # line 2 of a one-line text.
+    assert extract_snippets("def:'\\\n") == []
+
+
 def test_extract_snippets_skips_bodies_over_the_corpus_token_cap():
     depth = 100
     src = "".join("    " * i + f"for i{i} in x:\n" for i in range(depth)) + "    " * depth + "y = 1\n"

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import archetype_corpus as ac
-from stylekit import lexer
+from stylekit import lexer, syntax
 from stylekit.cli import main
 from stylekit.contrastive import extract_snippets
 from stylekit.corpus import from_sources, precompute_styles
@@ -288,6 +288,15 @@ def test_block_spans_for_snippets():
 # -- one analysis per source --------------------------------------------------
 
 
+def patch_every_binding(monkeypatch, original, replacement):
+    """Replace ``original`` wherever a stylekit module binds it."""
+    for name, module in list(sys.modules.items()):
+        if name == "stylekit" or name.startswith("stylekit."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 @pytest.fixture
 def lexed(monkeypatch):
     """Sources passed to ``lex``, counted at every binding in the package."""
@@ -298,11 +307,7 @@ def lexed(monkeypatch):
         calls.append(source)
         return original(source, lenient=lenient)
 
-    for name, module in list(sys.modules.items()):
-        if name == "stylekit" or name.startswith("stylekit."):
-            for key, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, key, counting)
+    patch_every_binding(monkeypatch, original, counting)
     return calls
 
 
@@ -345,6 +350,43 @@ def test_strict_doc_raises_where_lenient_doc_skips():
     with pytest.raises(SyntaxUnsupported):
         SourceDoc.of(source).functions
     assert SourceDoc.of(source, lenient=True).functions == []
+
+
+@pytest.mark.parametrize("lenient", [False, True])
+def test_analyze_parses_each_def_header_once(monkeypatch, lenient):
+    source = ("def f(a):\n    def g(b):\n        return b\n    return g(a)\n"
+              "\ndef h(c, d):\n    return c\n")
+    calls = []
+    original = syntax._def_name_and_params
+
+    def counting(header):
+        calls.append(header.line_start)
+        return original(header)
+
+    patch_every_binding(monkeypatch, original, counting)
+    analyze(source, lenient=lenient)
+    assert calls == [1, 2, 6]
+    doc = SourceDoc.of(source, lenient)
+    assert [(doc.stmts[i].line_start, rec.name) for i, rec in doc.defs.items()] == [
+        (1, "f"), (2, "g"), (6, "h")]
+    assert doc.functions == list(doc.defs.values())
+
+
+def test_operators_by_token_index():
+    # ``-`` after ``=`` is unary and ``~`` never counts; ``*`` has no space before it.
+    doc = SourceDoc.of("x = -a + b*c\ny = ~x\n")
+    assert doc.operators == {1: True, 4: True, 6: False, 10: True}
+
+
+def test_a_def_header_malformed_after_its_colon():
+    # The header has a top-level colon, so it parses as a ``def`` statement,
+    # and only the record fails: strict analysis raises, lenient skips it.
+    source = "def f:\n    return 1\ndef g(a, b):\n    return a\n"
+    with pytest.raises(SyntaxUnsupported) as caught:
+        analyze(source)
+    assert str(caught.value) == "line 1: unsupported or malformed def header"
+    assert [r.text for r in extract_identifiers(source)] == ["f", "g", "a", "b"]
+    assert [rec.name for rec in parse_functions(source, lenient=True)] == ["g"]
 
 
 # -- deep nesting -------------------------------------------------------------
