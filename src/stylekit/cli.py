@@ -301,7 +301,7 @@ def _cmd_embed(args) -> int:
     if isinstance(given, InputError):
         raise given
     emb = (model.style.forward(given) if args.tower == "style"
-           else model.code.forward([given])[0])
+           else model.code.embed_rows([given])[0])
     values = [float(x) for x in np.asarray(emb).ravel()]
     _report(args, {"tower": args.tower, "dim": len(values), "embedding": values},
             " ".join(f"{v:.6g}" for v in values))

@@ -122,10 +122,8 @@ def extract_snippets(source: str) -> list[str]:
         if not tok.is_synthetic():
             upto[tok.line] += 1
     upto = list(itertools.accumulate(upto))
-    # A string left open by a backslash at the end of the text ends past the last line.
-    spans = [(span.body_start, min(span.body_end, len(lines))) for span in _iter_spans(doc.stmts)]
-    spans = [(start, end) for start, end in spans
-             if upto[end] - upto[start - 1] <= DEFAULT_MAX_TOKENS]
+    spans = [(span.body_start, span.body_end) for span in _iter_spans(doc.stmts)
+             if upto[span.body_end] - upto[span.body_start - 1] <= DEFAULT_MAX_TOKENS]
     profile = doc.profile
     run_start = None
     for idx, rec in enumerate(profile.lines, start=1):
@@ -446,25 +444,25 @@ def _quiet(fn, *args):
         return fn(*args)
 
 
-def _each(fn, texts) -> list:
-    """``fn`` of each text, or the ``InputError`` it raised."""
-    out = []
+def _each(fn, texts):
+    """``fn`` of each text, or the ``InputError`` it raised, one at a time."""
     for text in texts:
         try:
-            out.append(fn(text))
+            got = fn(text)
         except InputError as exc:
-            out.append(exc)
-    return out
+            got = exc
+        yield got
 
 
 def code_inputs(code: CodeTower, texts) -> tuple[list, list[int]]:
     """The code tower's input for ``texts``: the bucket ids of each distinct
     text, lexed leniently once, and each text's index in that list. A text
-    the tower cannot take has the ``InputError`` it raised in place of ids."""
+    the tower cannot take has the ``InputError`` it raised in place of ids.
+    Each distinct token ``(kind, text)`` of the whole batch is hashed once."""
     slots: dict[str, int] = {}
     slot = [slots.setdefault(text, len(slots)) for text in texts]
-    return _each(lambda text: code.bucket_ids(SourceDoc.of(text, lenient=True).tokens),
-                 slots), slot
+    return code.bucket_ids_batch(
+        _each(lambda text: SourceDoc.of(text, lenient=True).tokens, slots)), slot
 
 
 def style_inputs(texts) -> list:
@@ -472,8 +470,8 @@ def style_inputs(texts) -> list:
     vector as a float32 row, or the ``InputError`` its analysis raised.
     Analysis is lenient, as lexing is: wherever strict analysis succeeds it
     gives the same."""
-    return _each(lambda text: np.asarray(normalize(analyze(text, lenient=True)).values,
-                                         dtype=np.float32), texts)
+    return list(_each(lambda text: np.asarray(normalize(analyze(text, lenient=True)).values,
+                                              dtype=np.float32), texts))
 
 
 def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
@@ -501,9 +499,11 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
 
 def _embed(model: EncoderModel, distinct_ids, slot, rows):
     """L2-normalized code embeddings of the anchors at ``slot`` and style
-    embeddings of ``rows``; each distinct anchor runs through the tower once."""
-    code_out = {j: model.code.forward([distinct_ids[j]])[0] for j in dict.fromkeys(slot)}
-    anchors = np.stack([code_out[j] for j in slot])
+    embeddings of ``rows``. Each distinct anchor runs through the code tower
+    once, with a one-row ``forward``'s numerics (:meth:`CodeTower.embed_rows`),
+    so its row does not depend on the anchors read with it."""
+    used, where = np.unique(slot, return_inverse=True)
+    anchors = model.code.embed_rows([distinct_ids[j] for j in used])[where]
     styles = model.style.forward(rows)
     return l2_normalize(anchors.astype(np.float64)), l2_normalize(styles.astype(np.float64))
 

@@ -391,7 +391,8 @@ def layout_features(doc: SourceDoc) -> list[float]:
 
     return [
         blank_ratio, avg_len, var_len, indent_avg, space_before,
-        comment_ratio, hint_ratio, indent_consistency, space_pattern(doc.text),
+        comment_ratio, hint_ratio, indent_consistency,
+        space_pattern("\n".join(doc.lines[:SPACE_PATTERN_ROWS])),  # only the rows it reads
     ]
 
 

@@ -354,6 +354,12 @@ _DISPATCH = {
 }
 
 
+def last_line(line: int, text: str) -> int:
+    """The line of the last character of a token that starts on ``line``; a
+    line feed that ends it (a lenient open string's) belongs to the line it ends."""
+    return line + text.count("\n", 0, len(text) - 1)
+
+
 def bracket_depths(tokens: list[Token]) -> list[int]:
     """Bracket depth of each token, counted from the first one. An opener
     sits at the depth outside it, as does its closer; a stray closer takes
@@ -431,7 +437,7 @@ def profile_lines(raw_lines: list[str], tokens: list[Token]) -> LineProfile:
         if kind is comment:
             comment_lines.add(line)
         elif kind is string and "\n" in text:  # the only token that spans lines
-            code_lines.update(range(line, line + text.count("\n") + 1))
+            code_lines.update(range(line, last_line(line, text) + 1))
         elif kind not in _SYNTHETIC:
             add_code(line)
     comment_only = comment_lines - code_lines

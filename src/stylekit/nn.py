@@ -41,6 +41,7 @@ running the towers one after the other.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import operator
 from dataclasses import dataclass
 
@@ -59,6 +60,8 @@ ADAM_BLOCK = 32_768
 # ``emb`` step (8192 x 128 float32, the host above), rows: gathered vs dense ms:
 # 646 0.79 vs 4.29, 2048 2.12 vs 4.31, 4096 3.93 vs 4.21, 4352 4.09 vs 4.00.
 ADAM_SPARSE_SHARE = 0.5
+# A token's hash key, read in C: hashing the enum would run ``Enum.__hash__``.
+_BUCKET_KEY = operator.attrgetter("kind._value_", "text")
 
 
 class DimensionMismatch(InputError, ValueError):
@@ -258,28 +261,54 @@ class CodeTower:
         return int.from_bytes(digest, "little") % self.vocab
 
     def bucket_ids(self, tokens: list[Token]) -> np.ndarray:
-        if all(t.is_synthetic() for t in tokens):
-            raise EmptyTokenStream("code tower needs at least one real token")
-        memo: dict[tuple, int] = {}   # tokens repeat; hash each (kind, text) once
-        ids = []
-        for t in tokens:
-            key = (t.kind, t.text)
-            bucket = memo.get(key)
-            if bucket is None:
-                bucket = memo[key] = self.bucket(t.kind.value, t.text)
-            ids.append(bucket)
-        return np.asarray(ids, dtype=np.int64)
+        (ids,) = self.bucket_ids_batch([tokens])
+        if isinstance(ids, InputError):
+            raise ids
+        return ids
+
+    def bucket_ids_batch(self, token_lists) -> list:
+        """:meth:`bucket_ids` of each list, with each distinct ``(kind, text)``
+        of the batch hashed once, by a memo that lives for this call. A list is
+        kept only as codes (where the batch first had each token's key), so an
+        iterator that lexes as it goes holds one text's tokens at a time. An
+        ``InputError`` item stays in place, as does the :class:`EmptyTokenStream`
+        of a list without a real token."""
+        first: dict[tuple[str, str], int] = {}
+        places = itertools.count()
+        codes = []
+        for tokens in token_lists:
+            if not isinstance(tokens, InputError) and all(map(Token.is_synthetic, tokens)):
+                tokens = EmptyTokenStream("code tower needs at least one real token")
+            codes.append(tokens if isinstance(tokens, InputError) else np.fromiter(
+                map(first.setdefault, map(_BUCKET_KEY, tokens), places), np.int64, len(tokens)))
+        buckets = np.zeros(next(places), dtype=np.int64)
+        buckets[list(first.values())] = [self.bucket(*key) for key in first]
+        for c in codes:
+            if not isinstance(c, InputError):
+                c[:] = buckets[c]   # in place: one text's copy at a time
+        return codes
+
+    def _pool(self, ids_batch: list[np.ndarray]) -> np.ndarray:
+        return np.stack([self.params["emb"][ids].mean(axis=0)
+                         for ids in ids_batch]).astype(self.dtype)
 
     def forward(self, ids_batch: list[np.ndarray], cache: dict | None = None) -> np.ndarray:
-        pooled = np.stack([
-            self.params["emb"][ids].mean(axis=0) for ids in ids_batch
-        ]).astype(self.dtype)
+        pooled = self._pool(ids_batch)
         z1 = pooled @ self.params["w1"].T + self.params["b1"]
         h1 = np.maximum(z1, 0)
         out = h1 @ self.params["w2"].T + self.params["b2"]
         if cache is not None:
             cache.update(ids_batch=ids_batch, pooled=pooled, z1=z1, h1=h1)
         return out
+
+    def embed_rows(self, ids_batch: list[np.ndarray]) -> np.ndarray:
+        """``forward([ids])[0]`` of each ``ids``, bit for bit, as the rows of
+        one pass. A batched ``forward`` differs: numpy runs a one-row product
+        as BLAS gemv and a larger one as gemm, which sums in another order.
+        The stacked ``(n, 1, k)`` products here run one gemv per row."""
+        p = self.params
+        h1 = np.maximum(self._pool(ids_batch)[:, None, :] @ p["w1"].T + p["b1"], 0)
+        return (h1 @ p["w2"].T + p["b2"])[:, 0]
 
     def backward(self, cache: dict, dout: np.ndarray) -> dict[str, np.ndarray]:
         dout = np.asarray(dout, dtype=self.dtype)

@@ -27,7 +27,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .lexer import (_BLANKS_RE, _CLOSERS, _OPENERS, TAB_WIDTH, InputError, LineProfile, Token,
-                    TokenKind, bracket_depths, lex, normalize_newlines, profile_lines, split_lines)
+                    TokenKind, bracket_depths, last_line, lex, normalize_newlines, profile_lines,
+                    split_lines)
 
 _BLOCK_KEYWORDS = frozenset((
     "def", "class", "if", "elif", "else", "for", "while", "with",
@@ -127,7 +128,7 @@ def _logical_lines(tokens: list[Token]) -> list[tuple[int, Stmt]]:
 
 def _make_stmt(tokens: list[Token], kind: str | None = None) -> Stmt:
     last = tokens[-1]
-    return Stmt(tokens, tokens[0].line, last.line + last.text.count("\n"), kind)
+    return Stmt(tokens, tokens[0].line, last_line(last.line, last.text), kind)
 
 
 def _split_on(tokens: list[Token], text: str) -> list[list[Token]]:

@@ -32,7 +32,9 @@ from stylekit.contrastive import (
     train,
 )
 from stylekit.corpus import DEFAULT_MAX_TOKENS, from_sources, token_count
+from stylekit.lexer import InputError
 from stylekit.nn import CodeTower, EncoderModel, StyleTower, l2_normalize
+from stylekit.syntax import SourceDoc
 
 THREE_FUNCS = (
     "def a(x):\n    u = x + 1\n    v = u * 2\n    return v\n"
@@ -81,9 +83,30 @@ def test_extract_snippets_minimum_three_nonblank_lines():
 
 
 def test_extract_snippets_of_a_string_left_open_by_a_backslash_at_the_end():
-    # The inline body's string takes the final line feed, so it ends on
-    # line 2 of a one-line text.
+    # The inline body's string takes the final line feed: the body still
+    # ends on line 1, and is too short to be a snippet.
     assert extract_snippets("def:'\\\n") == []
+
+
+def test_code_inputs_hash_like_bucket_ids_of_each_text():
+    # Newline, Indent and Dedent all have empty text, so a key without the
+    # kind would give them one bucket.
+    texts = ["def f(a):\n    if a:\n        return 'a'\n    pass\n", "x = ²\n", "  \n",
+             "y = f(1)  # if\n", "def f(a):\n    if a:\n        return 'a'\n    pass\n",
+             "class C:\n    pass_ = 1\n", "\n\n"]
+    code = CodeTower(seed=0, hash_seed=3)
+    distinct_ids, slot = contrastive.code_inputs(code, texts)
+    assert slot == [0, 1, 2, 3, 0, 4, 5]
+    for text, j in zip(texts, slot):
+        try:
+            tokens = SourceDoc.of(text, lenient=True).tokens
+            want = code.bucket_ids(tokens)
+        except InputError as exc:
+            assert type(distinct_ids[j]) is type(exc) and str(distinct_ids[j]) == str(exc)
+            continue
+        assert distinct_ids[j].dtype == np.int64
+        assert np.array_equal(distinct_ids[j], want)
+        assert distinct_ids[j].tolist() == [code.bucket(t.kind.value, t.text) for t in tokens]
 
 
 def test_extract_snippets_skips_bodies_over_the_corpus_token_cap():

@@ -17,20 +17,9 @@ from hypothesis import strategies as st
 import archetype_corpus as ac
 import lexer_reference
 from stylekit.lexer import lex
+from text_strategies import FRAGMENTS
 
 STDLIB = sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
-
-# Pieces that exercise the scanner's edge cases: tabs against the 4-column
-# stops, backslash joins, every quote form and string prefix, brackets
-# across lines, comments, a BOM, a form feed, CR line ends, numbers next to
-# dots, and non-ASCII letters and digits.
-FRAGMENTS = (
-    "a", "b1", "_x", "def", "if", "rb", "f", "Br", "é", "²", "٣",
-    " ", "  ", "\t", "\n", "\r\n", "\r", "\\\n", "\\",
-    "'", '"', "'''", '"""', "(", ")", "[", "]", "{", "}",
-    "#", "# c", "\ufeff", "\x0c", ".", "...", "5", ".5", "1e3", "0x1f", "3j",
-    ":", "=", "==", "**=", "->", ":=", ",", ";", "!", "$", "-",
-)
 
 
 def outcome(fn, source: str, lenient: bool):

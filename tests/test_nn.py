@@ -111,6 +111,24 @@ def test_code_empty_stream_rejected():
         tower.bucket_ids(lex("\n\n"))
 
 
+@pytest.mark.parametrize("texts", [
+    ["x"],                                              # one token and its Newline
+    ["x", "def f(a):\n    return a + 1\n"],
+    ["def f(a):\n    return a + 1\n", "y = [1, 2]  # c\n", "def f(a):\n    return a + 1\n"],
+    ["x", "if a:\n    b = 'two'\n", "x", "c = a ** 2\n", "for i in r:\n    pass\n",
+     "z = {1: 2}\n", "w"],
+], ids=["1-row", "2-rows", "3-rows-repeated", "7-rows-ragged"])
+def test_embed_rows_equals_one_row_forward_bit_for_bit(texts):
+    # Full size, in float32: BLAS chooses its kernel by shape, and a batched
+    # 2-D product rounds some rows differently from a one-row one.
+    tower = CodeTower(seed=6, hash_seed=5)
+    ids = [tower.bucket_ids(lex(text)) for text in texts]
+    rows = tower.embed_rows(ids)
+    assert rows.shape == (len(texts), tower.out_dim) and rows.dtype == np.float32
+    for got, one in zip(rows, ids):
+        assert np.array_equal(got, tower.forward([one])[0])
+
+
 def test_code_hash_seed_changes_buckets():
     a = CodeTower(seed=0, hash_seed=0)
     b = CodeTower(seed=0, hash_seed=1)

@@ -21,6 +21,7 @@ from stylekit.syntax import (
     _pseudo_function,
     block_spans,
     parse_functions,
+    parse_module,
 )
 
 
@@ -283,6 +284,17 @@ def test_block_spans_for_snippets():
                        ("def f():\n    x = 1\n    if y:\n", (2, 2))]:
         assert [(s.kind, s.body_start, s.body_end) for s in block_spans(src)] == [
             ("def", *lines)]
+
+
+@pytest.mark.parametrize("src", ["def:'\\\n", "'''abc\n", "for x in y: '''abc\n"])
+def test_a_string_that_takes_the_final_line_feed_ends_on_the_last_line(src):
+    # A lenient unterminated string swallows the line feed that ends the
+    # text. That line feed ends line 1, so no statement or body reaches line 2.
+    headed = src.startswith(("def", "for"))
+    assert [(s.line_start, s.line_end) for s in parse_module(src, lenient=True)] == [
+        (1, 1)] * (1 + headed)
+    assert [(s.body_start, s.body_end) for s in block_spans(src)] == [(1, 1)] * headed
+    assert len(line_profile(src).lines) == 1
 
 
 # -- one analysis per source --------------------------------------------------

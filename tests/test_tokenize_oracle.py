@@ -38,7 +38,7 @@ from hypothesis import strategies as st
 
 import archetype_corpus as ac
 from stylekit.lexer import PUNCTS, lex, line_profile, normalize_newlines, split_lines
-from test_lexer_differential import FRAGMENTS
+from text_strategies import FRAGMENTS
 
 pytestmark = pytest.mark.skipif(
     sys.version_info >= (3, 12), reason="tokenize splits f-strings (PEP 701)")
