@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -95,62 +96,64 @@ def save(model: EncoderModel, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> EncoderModel:
-    blob = Path(path).read_bytes()
-    if blob[:4] != MAGIC:
-        raise BadMagic(f"{path}: bad magic {blob[:4]!r}")
-    if len(blob) < 8:
-        raise TruncatedBlob(f"{path}: missing header length")
-    (header_len,) = struct.unpack("<I", blob[4:8])
-    header_end = 8 + header_len
-    if len(blob) < header_end:
-        raise TruncatedBlob(f"{path}: truncated header")
-    try:
-        header = json.loads(blob[8:header_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise TruncatedBlob(f"{path}: unreadable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise MalformedHeader(f"{path}: header is not an object")
-    if header.get("schema") != SCHEMA:
-        raise SchemaVersionMismatch(
-            f"checkpoint schema {header.get('schema')!r} != {SCHEMA!r}"
-        )
-    caps = {k: NORMALIZATION_CAPS[k] for k in sorted(NORMALIZATION_CAPS)}
-    if header.get("caps") != caps:
-        raise SchemaVersionMismatch("normalization caps do not match this analyzer")
+    with Path(path).open("rb") as fh:
+        magic = fh.read(4)
+        if magic != MAGIC:
+            raise BadMagic(f"{path}: bad magic {magic!r}")
+        raw_len = fh.read(4)
+        if len(raw_len) < 4:
+            raise TruncatedBlob(f"{path}: missing header length")
+        (header_len,) = struct.unpack("<I", raw_len)
+        raw = fh.read(header_len)
+        if len(raw) < header_len:
+            raise TruncatedBlob(f"{path}: truncated header")
+        try:
+            header = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TruncatedBlob(f"{path}: unreadable header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise MalformedHeader(f"{path}: header is not an object")
+        if header.get("schema") != SCHEMA:
+            raise SchemaVersionMismatch(
+                f"checkpoint schema {header.get('schema')!r} != {SCHEMA!r}"
+            )
+        caps = {k: NORMALIZATION_CAPS[k] for k in sorted(NORMALIZATION_CAPS)}
+        if header.get("caps") != caps:
+            raise SchemaVersionMismatch("normalization caps do not match this analyzer")
 
-    # Header fields that are missing or of the wrong type or value, the
-    # towers' own checks of their sizes and hash seed included.
-    try:
-        dims = header["dims"]
-        style_dims = {"layers": dims["style_layers"]}
-        code_dims = {k: dims["code"][k] for k in ("vocab", "embed_dim", "hidden_dim", "out_dim")}
-        shapes = {"style": StyleTower.param_shapes(**style_dims),
-                  "code": CodeTower.param_shapes(**code_dims)}
-        if shapes["style"]["br"] != shapes["code"]["b2"]:
-            raise ValueError(f"style width {shapes['style']['br'][0]} "
-                             f"!= code width {shapes['code']['b2'][0]}")
-        tensors = header["tensors"]
-        dtype = _DTYPES[tensors[0]["dtype"] if tensors else "<f4"]
-        manifest = _tensor_manifest(shapes, dtype)
-        if tensors != manifest:
-            raise SchemaVersionMismatch("the tensor manifest is not the one save writes "
-                                        "for the header's dims")
-        counts = [math.prod(entry["shape"]) for entry in manifest]
-        needed = sum(counts) * dtype.itemsize
-        if needed != len(blob) - header_end:
-            raise TruncatedBlob(f"{path}: the tensors take {needed} bytes, "
-                                f"the file holds {len(blob) - header_end} after the header")
-        params: dict[str, dict[str, np.ndarray]] = {"style": {}, "code": {}}
-        offset = header_end
-        for entry, count in zip(manifest, counts):
-            prefix, name = entry["name"].split(".", 1)
-            params[prefix][name] = np.frombuffer(
-                blob, dtype=dtype, count=count, offset=offset).reshape(entry["shape"]).copy()
-            offset += count * dtype.itemsize
-        return EncoderModel(
-            style=StyleTower(**style_dims, dtype=dtype, params=params["style"]),
-            code=CodeTower(**code_dims, hash_seed=header["hash_seed"], dtype=dtype,
-                           params=params["code"]),
-        )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MalformedHeader(f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc
+        # Header fields that are missing or of the wrong type or value, the
+        # towers' own checks of their sizes and hash seed included.
+        try:
+            dims = header["dims"]
+            style_dims = {"layers": dims["style_layers"]}
+            code_dims = {k: dims["code"][k]
+                         for k in ("vocab", "embed_dim", "hidden_dim", "out_dim")}
+            shapes = {"style": StyleTower.param_shapes(**style_dims),
+                      "code": CodeTower.param_shapes(**code_dims)}
+            if shapes["style"]["br"] != shapes["code"]["b2"]:
+                raise ValueError(f"style width {shapes['style']['br'][0]} "
+                                 f"!= code width {shapes['code']['b2'][0]}")
+            tensors = header["tensors"]
+            dtype = _DTYPES[tensors[0]["dtype"] if tensors else "<f4"]
+            manifest = _tensor_manifest(shapes, dtype)
+            if tensors != manifest:
+                raise SchemaVersionMismatch("the tensor manifest is not the one save writes "
+                                            "for the header's dims")
+            counts = [math.prod(entry["shape"]) for entry in manifest]
+            needed = sum(counts) * dtype.itemsize
+            held = os.fstat(fh.fileno()).st_size - 8 - header_len
+            if needed != held:
+                raise TruncatedBlob(f"{path}: the tensors take {needed} bytes, "
+                                    f"the file holds {held} after the header")
+            params: dict[str, dict[str, np.ndarray]] = {"style": {}, "code": {}}
+            for entry, count in zip(manifest, counts):
+                prefix, name = entry["name"].split(".", 1)
+                params[prefix][name] = np.fromfile(fh, dtype, count).reshape(entry["shape"])
+            return EncoderModel(
+                style=StyleTower(**style_dims, dtype=dtype, params=params["style"]),
+                code=CodeTower(**code_dims, hash_seed=header["hash_seed"], dtype=dtype,
+                               params=params["code"]),
+            )
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedHeader(
+                f"{path}: malformed header: {type(exc).__name__}: {exc}") from exc

@@ -9,10 +9,12 @@ one batch so in-batch negatives really are cross-file.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
 import os
+import re
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -292,22 +294,16 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     an epoch, one :class:`UntrainedPairs` warning gives the fewest any
     epoch trained.
 
-    The towers share nothing until InfoNCE joins them. When both towers'
-    BLAS threads fit on the CPUs this process may use (see
-    :func:`_overlap_towers`), each step runs the code tower on one helper
-    thread while the caller's thread runs the style tower: the code tower's
-    forward beside the style tower's, then the code tower's backward and
-    Adam step beside the style tower's. Otherwise the towers run one after
-    the other on the caller's thread, code tower first. Each tower's
-    operations keep their order and touch only its own arrays, so every
-    parameter, moment and loss is bit-identical either way. Timed on a
-    2-core Xeon, a 3-epoch desk-scale run took 3.54 s overlapped against
-    4.48 s one after the other with one OpenBLAS thread. With OpenBLAS's
-    default two threads the overlap took 4.97 s against 4.32 s, as the two
-    sides' matrix products contend for the cores, so there the towers run
-    one after the other. The helper lives only for this call. An error on
-    either side is raised once both have finished the step, and the code
-    tower's error wins, as when it runs first."""
+    The towers share nothing until InfoNCE joins them, so a step is two
+    phases, the forwards and then each tower's backward and Adam step, and
+    :func:`_side_by_side` runs each: the code tower on a helper thread where
+    both towers' BLAS threads fit on the CPUs (see :func:`_overlap_towers`),
+    else first on the caller's thread. Each tower's operations keep their
+    order and touch only its own arrays, so every parameter, moment and
+    loss is bit-identical either way. On a 2-core Xeon, 3 desk-scale epochs
+    took 3.54 s overlapped against 4.48 s in turn at one OpenBLAS thread,
+    and 4.97 s against 4.32 s at the default two, whose matrix products
+    contend for the cores. The helper lives only for this call."""
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
@@ -325,10 +321,6 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
 
     opt_style = new_adam_state(style.params)
     opt_code = new_adam_state(code.params)
-
-    def code_step(cache, dout):
-        adam_step(code.params, code.backward(cache, dout), opt_code, lr=cfg.lr)
-
     logs: list[EpochLog] = []
     fewest = len(pairs)   # pairs trained in the epoch that trained the fewest
     # Overflow from too large an lr ends as the NonFiniteLoss check below.
@@ -341,12 +333,11 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
             for batch_no, batch in enumerate(batches):
                 code_cache: dict = {}
                 style_cache: dict = {}
-                code_fwd = helper.submit(_quiet, code.forward,
-                                         [anchor_ids[i] for i in batch], code_cache)
-                try:
-                    style_out = style.forward(style_vecs[batch], style_cache).astype(np.float64)
-                finally:
-                    code_out = code_fwd.result().astype(np.float64)
+                code_out, style_out = _side_by_side(
+                    helper,
+                    lambda: code.forward([anchor_ids[i] for i in batch],
+                                         code_cache).astype(np.float64),
+                    lambda: style.forward(style_vecs[batch], style_cache).astype(np.float64))
                 a = l2_normalize(code_out)
                 p = l2_normalize(style_out)
                 loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
@@ -354,15 +345,14 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                 if not math.isfinite(loss):
                     raise NonFiniteLoss(epoch, batch_no, cfg.lr)
                 losses.append(loss)
-                dcode = l2_normalize_backward(code_out, da)
-                dstyle = l2_normalize_backward(style_out, dp)
-                code_bwd = helper.submit(_quiet, code_step, code_cache,
-                                         dcode.astype(np.float32))
-                try:
-                    style_grads = style.backward(style_cache, dstyle.astype(np.float32))
-                    adam_step(style.params, style_grads, opt_style, lr=cfg.lr)
-                finally:
-                    code_bwd.result()
+                dcode = l2_normalize_backward(code_out, da).astype(np.float32)
+                dstyle = l2_normalize_backward(style_out, dp).astype(np.float32)
+                _side_by_side(
+                    helper,
+                    lambda: adam_step(code.params, code.backward(code_cache, dcode),
+                                      opt_code, lr=cfg.lr),
+                    lambda: adam_step(style.params, style.backward(style_cache, dstyle),
+                                      opt_style, lr=cfg.lr))
             wall_ms = (time.perf_counter() - t0) * 1000.0
             entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(losses)),
                              wall_ms=wall_ms)
@@ -385,9 +375,10 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     return model, logs
 
 
-# OpenBLAS takes its thread count from the first of these that is set, else
-# one thread per CPU the process may use.
+# OpenBLAS takes its thread count from the first of these that C's atoi reads
+# as positive, else runs one thread per CPU the process may use.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+_ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
 
 
 def _overlap_towers() -> bool:
@@ -399,49 +390,37 @@ def _overlap_towers() -> bool:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    blas = next((int(v) for v in map(os.environ.get, _BLAS_THREAD_VARS)
-                 if v and v.strip().isdigit() and int(v) > 0), cpus)
+    counts = (int(m[1]) if (m := _ATOI.match(os.environ.get(var, ""))) else 0
+              for var in _BLAS_THREAD_VARS)
+    blas = next((n for n in counts if n > 0), cpus)
     return 2 * blas <= cpus
 
 
 def _helper():
-    """Where the code tower's calls run: on one helper thread if
-    :func:`_overlap_towers` selects it, else at once on the caller's."""
+    """One helper thread for the code tower if :func:`_overlap_towers`
+    selects it, else none. The helper ignores numpy's overflow and invalid
+    warnings as ``train`` does: a thread does not inherit ``np.errstate``."""
     if not _overlap_towers():
-        return _Inline()
+        return contextlib.nullcontext()
     # imported here, as it costs the CLI's start-up about 8 ms
     from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(max_workers=1)
+    return ThreadPoolExecutor(
+        max_workers=1, initializer=lambda: np.seterr(over="ignore", invalid="ignore"))
 
 
-class _Inline:
-    """An executor that runs each call as it is submitted, on the caller's
-    thread, and raises its error there."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return None
-
-    def submit(self, fn, *args) -> _Done:
-        return _Done(fn(*args))
-
-
-@dataclass(frozen=True)
-class _Done:
-    """A call's result, read as a future's."""
-    value: object
-
-    def result(self):
-        return self.value
-
-
-def _quiet(fn, *args):
-    """``fn(*args)`` with numpy's overflow and invalid warnings off: a
-    thread does not inherit its caller's ``np.errstate``."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return fn(*args)
+def _side_by_side(helper, code_fn, style_fn):
+    """``(code_fn(), style_fn())``, the code side's error first. With a
+    ``helper`` pool, ``code_fn`` runs on it beside ``style_fn``, and an error
+    is raised once both have finished. Without one, ``code_fn`` runs first
+    on the caller's thread and its error stops ``style_fn`` from starting."""
+    if helper is None:
+        return code_fn(), style_fn()
+    code_side = helper.submit(code_fn)
+    try:
+        style_out = style_fn()
+    finally:
+        code_out = code_side.result()
+    return code_out, style_out
 
 
 def _each(fn, texts):

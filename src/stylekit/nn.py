@@ -30,12 +30,12 @@ updates only rows that ever had one: any other row has zero moments, and
 rows a batch skips still decay as in dense Adam (not LazyAdam). Past
 ``ADAM_SPARSE_SHARE`` of the rows live, the dense update is faster and runs.
 
-The towers share no array, so where both towers' BLAS threads fit on the
-CPUs, ``contrastive.train`` runs each step's code tower forward, backward
-and ``adam_step`` on one helper thread beside the style tower's. Nothing
-here holds state outside a tower's own params and Adam state, and each
-tower's operations keep their order, so the results are bit-identical to
-running the towers one after the other.
+The towers share no array, so each step of ``contrastive.train`` is two
+phases, the forwards and then each tower's backward and ``adam_step``, and
+``contrastive._side_by_side`` runs the code tower's call of each on a helper
+thread where both towers' BLAS threads fit on the CPUs. No state lives
+outside a tower's own params and Adam state, and each tower's operations
+keep their order, so results are bit-identical to running them in turn.
 """
 
 from __future__ import annotations

@@ -300,6 +300,9 @@ def overlap(request, monkeypatch):
     ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
     ({"OPENBLAS_NUM_THREADS": "0"}, 2, False),   # unset to OpenBLAS
     ({"OPENBLAS_NUM_THREADS": "one"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "1abc"}, 2, True),  # read as C's atoi reads it
+    ({"OPENBLAS_NUM_THREADS": "+1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "²"}, 2, False),    # a digit to str.isdigit, not to atoi
 ])
 def test_towers_overlap_only_where_both_blas_pools_fit(monkeypatch, blas, cpus, expected):
     for var in contrastive._BLAS_THREAD_VARS:
@@ -329,6 +332,16 @@ def test_diverging_train_raises_non_finite_loss_with_warnings_as_errors(overlap)
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteLoss):
             train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=0, lr=1e30))
+
+
+def test_train_leaves_the_callers_numpy_error_state_as_it_found_it(overlap):
+    with np.errstate(divide="warn", over="warn", under="ignore", invalid="warn"):
+        before = np.geterr()
+        train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert np.geterr() == before
+        with pytest.raises(NonFiniteLoss):
+            train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0, lr=1e30))
+        assert np.geterr() == before
 
 
 class TowerFailure(RuntimeError):

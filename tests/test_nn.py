@@ -513,6 +513,17 @@ def test_checkpoint_round_trip_forward_bit_identical(tmp_path):
                               code_before)
 
 
+def test_checkpoint_loads_writeable_tensors_that_own_their_memory(tmp_path):
+    """Each loaded tensor is an array of its own, as a freshly built
+    tower's is: not a read-only view of a buffer the file was read into."""
+    path = tmp_path / "m.ckpt"
+    checkpoint.save(fresh_model(4), path)
+    loaded = checkpoint.load(path)
+    for tensor in [*loaded.style.params.values(), *loaded.code.params.values()]:
+        assert tensor.flags.writeable
+        assert (tensor if tensor.base is None else tensor.base).flags.owndata
+
+
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
     model = fresh_model(3)
     p1 = tmp_path / "a.ckpt"
