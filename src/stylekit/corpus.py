@@ -31,6 +31,9 @@ class MalformedRecord(InputError, ValueError):
         self.line = line
         self.reason = reason
 
+    def __reduce__(self):
+        return type(self), (self.line, self.reason)
+
 
 class RatioError(InputError, ValueError):
     """Split ratios that are negative, NaN or sum past one, or a negative seed."""

@@ -341,8 +341,8 @@ def space_pattern(source: str) -> float:
     source = normalize_newlines(source)
     occupied = 0
     for line in split_lines(source)[:SPACE_PATTERN_ROWS]:
-        expanded = line.expandtabs(TAB_WIDTH)
-        occupied += sum(1 for c in expanded[:SPACE_PATTERN_COLS] if not c.isspace())
+        # str.split cuts at exactly the characters str.isspace accepts
+        occupied += sum(map(len, line.expandtabs(TAB_WIDTH)[:SPACE_PATTERN_COLS].split()))
     return occupied / (SPACE_PATTERN_ROWS * SPACE_PATTERN_COLS)
 
 

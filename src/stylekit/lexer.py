@@ -146,6 +146,9 @@ class UnterminatedString(LexError):
         super().__init__(f"unterminated string literal starting on line {line}")
         self.line = line
 
+    def __reduce__(self):
+        return type(self), (self.line,)
+
 
 class InvalidCharacter(LexError):
     """A character ``str.isdigit`` accepts that no number can start with,
@@ -155,6 +158,9 @@ class InvalidCharacter(LexError):
         super().__init__(f"invalid character {char!r} (U+{ord(char):04X}) on line {line}")
         self.line = line
         self.char = char
+
+    def __reduce__(self):
+        return type(self), (self.line, self.char)
 
 
 def normalize_newlines(source: str) -> str:

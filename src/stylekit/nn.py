@@ -81,6 +81,9 @@ class NonFiniteGradient(RuntimeError):
         super().__init__(f"non-finite gradient in tensor {tensor_name!r}")
         self.tensor_name = tensor_name
 
+    def __reduce__(self):
+        return type(self), (self.tensor_name,)
+
 
 @dataclass(frozen=True, eq=False)
 class RowGrad:

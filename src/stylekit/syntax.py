@@ -75,6 +75,9 @@ class SyntaxUnsupported(InputError):
         self.line = line
         self.construct = construct
 
+    def __reduce__(self):
+        return type(self), (self.line, self.construct)
+
 
 @dataclass
 class Stmt:

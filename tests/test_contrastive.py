@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import signal
 import threading
 import time
 import warnings
@@ -16,6 +17,7 @@ from stylekit.contrastive import (
     InsufficientSnippets,
     InvalidSetting,
     NonFiniteLoss,
+    SkippedPair,
     TrainConfig,
     UnnormalizedInput,
     UntrainedPairs,
@@ -646,3 +648,175 @@ def test_eval_retrieval_runs_end_to_end():
     model, _ = train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
     value = eval_retrieval(model, pairs[:6], 3)
     assert 0.0 <= value <= 1.0
+
+
+# -- inputs built on several CPUs ----------------------------------------------
+
+
+def split_batch():
+    """Pairs of 12 files, three to an anchor, and in the last slice, which a
+    child builds: an anchor of about 100 KB of bucket ids, more than a pipe
+    holds, an ``x = ²`` positive and an anchor without a real token."""
+    pairs = tiny_pairs(12)
+    return [*pairs,
+            ContrastivePair("big:0", "big", THREE_FUNCS * 200, THREE_FUNCS),
+            ContrastivePair("sup:0", "sup", pairs[0].anchor, "x = ²\n"),
+            ContrastivePair("blank:0", "blank", "\n\n", pairs[1].positive)]
+
+
+def usable(batch):
+    return [p for p in batch if p.file_id not in ("sup", "blank")]
+
+
+def small_model():
+    return EncoderModel(style=StyleTower(seed=0, layers=(34, 8, 8, 8, 16)),
+                        code=CodeTower(seed=1, vocab=64, embed_dim=8, hidden_dim=8, out_dim=16))
+
+
+def build_on(monkeypatch, cpus):
+    """Build pair inputs serially (one CPU) or split over ``cpus``, which
+    the batches here fill at any host's CPU count."""
+    monkeypatch.setattr(contrastive, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(contrastive, "SPLIT_MIN_TEXTS", 8)
+
+
+@pytest.fixture(params=[1, 3], ids=["serial", "split"])
+def cpus(request, monkeypatch):
+    build_on(monkeypatch, request.param)
+    return request.param
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def in_children(monkeypatch, fail, parent=False):
+    """Make ``analyze`` call ``fail`` in every forked child, or in the caller."""
+    caller, real = os.getpid(), contrastive.analyze
+
+    def analyze(text, lenient=False):
+        if (os.getpid() == caller) is parent:
+            fail()
+        return real(text, lenient=lenient)
+
+    monkeypatch.setattr(contrastive, "analyze", analyze)
+
+
+def inputs_as_bytes(code, batch):
+    """``_pair_inputs`` of ``batch`` as comparable values, with its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        kept, distinct_ids, slot, rows = contrastive._pair_inputs(code, batch, skip=True)
+    as_bytes = [(type(x).__name__, str(x)) if isinstance(x, InputError)
+                else (x.dtype.str, x.shape, x.tobytes()) for x in [*distinct_ids, *rows]]
+    return ([p.id for p in kept], slot, as_bytes,
+            [(w.category, str(w.message)) for w in caught])
+
+
+def test_split_and_serial_pair_inputs_are_identical(monkeypatch):
+    code, batch = CodeTower(seed=1, hash_seed=5), split_batch()
+    got = []
+    for n in (1, 2, 3):
+        build_on(monkeypatch, n)
+        got.append(inputs_as_bytes(code, batch))
+        assert no_child_left()
+    assert got[0] == got[1] == got[2]
+    skipped = [message for category, message in got[0][3] if category is SkippedPair]
+    assert skipped == [
+        "pair 'sup:0': positive: InvalidCharacter: invalid character '²' (U+00B2) on line 1; skipped",
+        "pair 'blank:0': anchor: EmptyTokenStream: code tower needs at least one real token; skipped"]
+
+
+def test_split_and_serial_retrieval_embedding_and_training_are_identical(monkeypatch, tmp_path):
+    import hashlib
+
+    model, batch = small_model(), split_batch()
+    results = []
+    for n in (1, 3):
+        build_on(monkeypatch, n)
+        with pytest.warns(SkippedPair):
+            recall = eval_retrieval(model, batch, 3)
+        anchors, styles = embed_pairs(model, usable(batch))
+        path = tmp_path / f"{n}.ckpt"
+        with pytest.warns((SkippedPair, UntrainedPairs)):
+            train(batch, TrainConfig(epochs=2, batch_size=4, seed=3), checkpoint_path=path)
+        results.append((recall, hashlib.sha256(anchors.tobytes() + styles.tobytes()).hexdigest(),
+                        path.read_bytes()))
+        assert no_child_left()
+    assert results[0] == results[1]
+
+
+def test_a_childs_bug_is_raised_in_the_caller_and_the_cli_exits_3(monkeypatch, tmp_path, capsys):
+    from stylekit import checkpoint
+    from stylekit.cli import EXIT_INTERNAL, main
+
+    build_on(monkeypatch, 3)
+    in_children(monkeypatch, lambda: [][0])
+    with pytest.raises(IndexError) as caught:
+        contrastive._pair_inputs(CodeTower(seed=1), split_batch(), skip=True)
+    assert "IndexError" in str(caught.value.__cause__)   # the child's traceback
+    assert no_child_left()
+    pairs_path, ckpt_path = tmp_path / "p.jsonl", tmp_path / "m.ckpt"
+    pairs_to_jsonl(split_batch(), pairs_path)
+    checkpoint.save(small_model(), ckpt_path)
+    code = main(["eval-retrieval", "--pairs", str(pairs_path), "--ckpt", str(ckpt_path),
+                 "--k", "1", "--json"])
+    assert code == EXIT_INTERNAL and '"error": "IndexError"' in capsys.readouterr().err
+    assert no_child_left()
+
+
+def truncating_dumps(monkeypatch):
+    """Make ``pickle.dumps`` drop its last 5 bytes in every forked child."""
+    import pickle
+
+    caller, real = os.getpid(), pickle.dumps
+
+    def dumps(*args):
+        return real(*args)[:-5] if os.getpid() != caller else real(*args)
+
+    monkeypatch.setattr(pickle, "dumps", dumps)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda mp: in_children(mp, lambda: os._exit(7)), "exited with status 7"),
+    (lambda mp: in_children(mp, lambda: os.kill(os.getpid(), signal.SIGKILL)),
+     "died of signal 9"),
+    (truncating_dumps, "sent a short payload"),
+], ids=["exit", "signal", "short"])
+def test_a_child_that_fails_to_reply_raises_runtime_error(monkeypatch, fault, message):
+    build_on(monkeypatch, 3)
+    fault(monkeypatch)
+    with pytest.raises(RuntimeError, match=message):
+        contrastive._pair_inputs(CodeTower(seed=1), split_batch(), skip=True)
+    assert no_child_left()
+
+
+def test_no_child_outlives_a_call_whose_own_slice_raises(monkeypatch):
+    # the children block on writes of more than a pipe holds until the
+    # caller closes the read ends
+    build_on(monkeypatch, 3)
+    in_children(monkeypatch, lambda: [][0], parent=True)
+    with pytest.raises(IndexError):
+        contrastive._pair_inputs(CodeTower(seed=1), split_batch(), skip=True)
+    assert no_child_left()
+
+
+def test_children_run_no_exit_handler_and_flush_no_buffer_of_the_callers(cpus, monkeypatch,
+                                                                         capfd):
+    import atexit
+    import io
+    import sys
+
+    with io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"))) as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        print("once", end="")                    # buffered across the fork
+        atexit.register(os.write, 2, b"an exit handler ran\n")
+        try:
+            with pytest.warns(SkippedPair):
+                contrastive._pair_inputs(CodeTower(seed=1), split_batch(), skip=True)
+        finally:
+            atexit.unregister(os.write)
+    assert capfd.readouterr() == ("once", "")
+    assert no_child_left()

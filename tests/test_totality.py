@@ -1,15 +1,22 @@
 """Every entry point that takes text is total: on any text it returns
 finite values (in [0, 1] where normalized) or raises a declared
 ``InputError``, in strict and in lenient mode. Batch inputs hold the
-``InputError`` of a text in its place instead of raising it."""
+``InputError`` of a text in its place instead of raising it, and every
+error stylekit declares survives ``pickle``, as a forked child sends a
+batch's inputs."""
 
 from __future__ import annotations
 
+import importlib
 import math
+import pickle
+import pkgutil
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 
+import stylekit
 from stylekit import contrastive
 from stylekit.features import analyze, normalize
 from stylekit.lexer import InputError, normalize_newlines, split_lines
@@ -66,3 +73,32 @@ def test_every_text_entry_point_is_total(text):
         assert finite(TOWER.embed_rows([got]).ravel())
     row = contrastive.style_inputs([text, OTHER])[0]
     assert isinstance(row, InputError) or (row.shape == (34,) and finite(row, unit=True))
+
+
+# Constructor arguments of the errors whose ``__init__`` takes its own; any
+# other error takes a message.
+ERROR_ARGS = {
+    "UnterminatedString": (3,),
+    "InvalidCharacter": (1, "\u00b2"),
+    "SyntaxUnsupported": (2, "def header"),
+    "MalformedRecord": (4, "id must be a string"),
+    "NonFiniteLoss": (1, 2, 1e30),
+    "NonFiniteGradient": ("emb",),
+}
+
+
+def declared_errors():
+    for info in pkgutil.iter_modules(stylekit.__path__):
+        module = importlib.import_module(f"stylekit.{info.name}")
+        yield from (cls for cls in vars(module).values()
+                    if isinstance(cls, type) and issubclass(cls, BaseException)
+                    and cls.__module__ == module.__name__)
+
+
+@pytest.mark.parametrize("cls", declared_errors(), ids=lambda cls: cls.__name__)
+def test_every_declared_error_survives_pickle(cls):
+    own_init = any("__init__" in vars(c) for c in cls.__mro__
+                   if c.__module__.startswith("stylekit"))
+    exc = cls(*ERROR_ARGS[cls.__name__]) if own_init else cls("a message")
+    back = pickle.loads(pickle.dumps(exc))
+    assert (type(back), str(back), back.args, vars(back)) == (cls, str(exc), exc.args, vars(exc))
