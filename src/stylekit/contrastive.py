@@ -47,6 +47,12 @@ MIN_SNIPPET_LINES = 3  # non-blank lines
 # 48 27.8 vs 25.3, 60 32.6 vs 29.5, 96 48.1 vs 38.5. The split breaks even
 # near 36 texts; a larger process copies more page tables when it forks.
 SPLIT_MIN_TEXTS = 64
+# The style tower's tensors whose Adam update the code tower's worker runs
+# (see ``train``), to balance the two sides: 0.52M of the style tower's 1.78M
+# parameters. Median of 4 alternating fresh-process runs of a 3-epoch
+# desk-scale ``train()`` at one OpenBLAS thread on a 2-core Xeon, share: s:
+# none 2.50, wr+br 2.30, w4+b4 2.45, w3+b3+wr+br 2.56.
+WORKER_SHARE = ("wr", "br")
 
 
 class UnnormalizedInput(ValueError):
@@ -308,15 +314,22 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     epoch trained.
 
     The towers share nothing until InfoNCE joins them, so a step is two
-    phases, the forwards and then each tower's backward and Adam step, and
-    :func:`_side_by_side` runs each: the code tower on a helper thread where
-    both towers' BLAS threads fit on the CPUs (see :func:`_overlap_towers`),
-    else first on the caller's thread. Each tower's operations keep their
-    order and touch only its own arrays, so every parameter, moment and
-    loss is bit-identical either way. On a 2-core Xeon, 3 desk-scale epochs
-    took 3.54 s overlapped against 4.48 s in turn at one OpenBLAS thread,
-    and 4.97 s against 4.32 s at the default two, whose matrix products
-    contend for the cores. The helper lives only for this call."""
+    phases, the forwards and then each tower's backward and Adam step. Where
+    both towers' BLAS threads fit on the CPUs (see :func:`_overlap_towers`)
+    and ``os.fork`` exists, a forked :class:`_Worker` runs the code tower's
+    side of each phase beside the caller's style tower, and also the Adam
+    update of the style tower's ``WORKER_SHARE``. An error is then raised
+    once both sides have finished: the code tower's first, then the style
+    tower's in ``params`` order. Elsewhere the code tower's side runs first
+    on the caller's thread (:class:`_InTurn`), and its error stops the style
+    tower's from starting. Adam is elementwise per tensor, and each side's
+    operations keep their order, so every parameter, moment and loss is
+    bit-identical either way. On a 2-core Xeon, 3 desk-scale epochs took
+    2.47 s in the worker against 3.80 s in turn at one OpenBLAS thread, and
+    8.45 s against 3.16 s at the default two, whose matrix products contend
+    for the cores (medians of 4 fresh processes). The worker lives only for
+    this call. On Python 3.12 and later ``os.fork`` may emit a
+    ``DeprecationWarning`` once OpenBLAS has started its threads."""
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
@@ -332,25 +345,27 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     anchor_ids = [distinct_ids[j] for j in slot]
     style_vecs = np.stack(rows)
 
-    opt_style = new_adam_state(style.params)
-    opt_code = new_adam_state(code.params)
     logs: list[EpochLog] = []
     fewest = len(pairs)   # pairs trained in the epoch that trained the fewest
-    # Overflow from too large an lr ends as the NonFiniteLoss check below.
-    with _helper() as helper, np.errstate(over="ignore", invalid="ignore"):
+    # Overflow from too large an lr ends as the NonFiniteLoss check below; a
+    # forked worker inherits this error state.
+    with np.errstate(over="ignore", invalid="ignore"), (
+            _Worker(code, style, anchor_ids, cfg.lr) if _overlap_towers() and hasattr(os, "fork")
+            else contextlib.nullcontext(_InTurn(code, anchor_ids, cfg.lr))) as side:
+        own = {name: p for name, p in style.params.items() if name not in side.shared}
+        opt_style = new_adam_state(own)
         for epoch in range(cfg.epochs):
             t0 = time.perf_counter()
             losses = []
             batches = _stratified_batches(pairs, cfg.batch_size, rng)
             fewest = min(fewest, sum(map(len, batches)))
             for batch_no, batch in enumerate(batches):
-                code_cache: dict = {}
                 style_cache: dict = {}
-                code_out, style_out = _side_by_side(
-                    helper,
-                    lambda: code.forward([anchor_ids[i] for i in batch],
-                                         code_cache).astype(np.float64),
-                    lambda: style.forward(style_vecs[batch], style_cache).astype(np.float64))
+                side.forward(batch)
+                try:
+                    style_out = style.forward(style_vecs[batch], style_cache).astype(np.float64)
+                finally:
+                    code_out = side.result()
                 a = l2_normalize(code_out)
                 p = l2_normalize(style_out)
                 loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
@@ -358,14 +373,15 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                 if not math.isfinite(loss):
                     raise NonFiniteLoss(epoch, batch_no, cfg.lr)
                 losses.append(loss)
-                dcode = l2_normalize_backward(code_out, da).astype(np.float32)
+                side.backward(l2_normalize_backward(code_out, da).astype(np.float32))
                 dstyle = l2_normalize_backward(style_out, dp).astype(np.float32)
-                _side_by_side(
-                    helper,
-                    lambda: adam_step(code.params, code.backward(code_cache, dcode),
-                                      opt_code, lr=cfg.lr),
-                    lambda: adam_step(style.params, style.backward(style_cache, dstyle),
-                                      opt_style, lr=cfg.lr))
+                try:
+                    grads = style.backward(style_cache, dstyle)
+                    side.share(grads)
+                    adam_step(own, grads, opt_style, lr=cfg.lr)
+                finally:
+                    side.result()   # the code tower's error first
+                side.result()       # then the share's, last in params order
             wall_ms = (time.perf_counter() - t0) * 1000.0
             entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(losses)),
                              wall_ms=wall_ms)
@@ -402,10 +418,10 @@ def _usable_cpus() -> int:
 
 
 def _overlap_towers() -> bool:
-    """Whether ``train`` runs the code tower on a helper thread: only if
-    both towers' BLAS threads fit on the CPUs this process may use. Two
-    pools of one thread per CPU contend, and the overlap then runs slower
-    than one tower after the other."""
+    """Whether ``train`` runs the code tower in a worker process beside the
+    style tower: only if both towers' BLAS threads fit on the CPUs this
+    process may use. Two pools of one thread per CPU contend, and the
+    overlap then runs slower than one tower after the other."""
     cpus = _usable_cpus()
     counts = (int(m[1]) if (m := _ATOI.match(os.environ.get(var, ""))) else 0
               for var in _BLAS_THREAD_VARS)
@@ -413,31 +429,207 @@ def _overlap_towers() -> bool:
     return 2 * blas <= cpus
 
 
-def _helper():
-    """One helper thread for the code tower if :func:`_overlap_towers`
-    selects it, else none. The helper ignores numpy's overflow and invalid
-    warnings as ``train`` does: a thread does not inherit ``np.errstate``."""
-    if not _overlap_towers():
-        return contextlib.nullcontext()
-    # imported here, as it costs the CLI's start-up about 8 ms
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(
-        max_workers=1, initializer=lambda: np.seterr(over="ignore", invalid="ignore"))
+class _InTurn:
+    """The code tower's side of each training step, run at once on the
+    caller's thread: its forward, and its backward with its Adam step.
+    The style tower shares none of its tensors with it."""
+
+    shared: tuple[str, ...] = ()
+
+    def __init__(self, code: CodeTower, anchor_ids: list, lr: float):
+        self.code, self.anchor_ids, self.lr = code, anchor_ids, lr
+        self.opt = new_adam_state(code.params)
+        self.cache: dict = {}
+        self.out = None
+
+    def forward(self, batch: list[int]) -> None:
+        self.cache = {}
+        self.out = self.code.forward([self.anchor_ids[i] for i in batch],
+                                     self.cache).astype(np.float64)
+
+    def backward(self, dcode: np.ndarray) -> None:
+        adam_step(self.code.params, self.code.backward(self.cache, dcode), self.opt,
+                  lr=self.lr)
+
+    def share(self, grads: dict) -> None:
+        pass
+
+    def result(self):
+        """The code tower's forward output, once per ``forward``; else None."""
+        out, self.out = self.out, None
+        return out
 
 
-def _side_by_side(helper, code_fn, style_fn):
-    """``(code_fn(), style_fn())``, the code side's error first. With a
-    ``helper`` pool, ``code_fn`` runs on it beside ``style_fn``, and an error
-    is raised once both have finished. Without one, ``code_fn`` runs first
-    on the caller's thread and its error stops ``style_fn`` from starting."""
-    if helper is None:
-        return code_fn(), style_fn()
-    code_side = helper.submit(code_fn)
+class _Worker:
+    """The code tower's side of each training step, run by a forked worker
+    process beside the caller's style tower. The worker also runs the Adam
+    update of the style tower's ``shared`` tensors, once :meth:`share` has
+    put their gradients in place.
+
+    The tensors the worker updates, and those gradients, live in anonymous
+    shared memory, so the caller's style forward reads the worker's update
+    and no array of megabytes crosses a pipe. Requests (batch indices, the
+    code tower's upstream gradient) and replies (its forward output, each
+    step's error) are pickled on two pipes; :meth:`result` reads the
+    replies in order.
+
+    A worker's bug is raised by :meth:`result`, caused by a
+    ``RuntimeError`` that holds its traceback; a worker that dies, exits
+    non-zero or sends a short reply raises ``RuntimeError``. On leaving, the
+    caller closes its pipe ends, so a worker waiting on a request exits, and
+    reaps it, whatever was raised; then, if nothing was, it copies the
+    shared tensors into arrays of their own."""
+
+    def __init__(self, code: CodeTower, style: StyleTower, anchor_ids: list, lr: float):
+        self.shared = WORKER_SHARE
+        self._tensors = [(code.params, list(code.params)), (style.params, list(self.shared))]
+        views = iter(_in_shared_memory([params[name] for params, names in self._tensors
+                                        for name in names]))
+        for params, names in self._tensors:
+            params.update((name, next(views)) for name in names)
+        self._share = {name: style.params[name] for name in self.shared}
+        self._grads = dict(zip(self.shared, _in_shared_memory(
+            [np.zeros_like(p) for p in self._share.values()])))
+        self._code, self._anchor_ids, self._lr = code, anchor_ids, lr
+        self._status: int | None = None
+
+    def __enter__(self):
+        request_fd, self._requests = os.pipe()
+        reply_fd, write_fd = os.pipe()
+        self._replies = open(reply_fd, "rb")
+        try:
+            if (pid := os.fork()) == 0:
+                _serve(request_fd, write_fd, (self._requests, self._replies), self)
+        except BaseException:
+            os.close(self._requests)
+            self._replies.close()
+            raise
+        finally:
+            os.close(request_fd)
+            os.close(write_fd)
+        self._pid = pid
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        status = self._stop()
+        if kind is None:
+            if status != 0:
+                raise self._lost()
+            for params, names in self._tensors:
+                params.update((name, params[name].copy()) for name in names)
+
+    def forward(self, batch: list[int]) -> None:
+        self._send(("forward", batch))
+
+    def backward(self, dcode: np.ndarray) -> None:
+        self._send(("backward", dcode))
+
+    def share(self, grads: dict) -> None:
+        for name, g in self._grads.items():
+            g[...] = grads[name]
+        self._send(("share", None))
+
+    def result(self):
+        """The reply to the oldest request not yet read: the forward output,
+        or None; or the error the worker raised."""
+        try:
+            error, got = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._lost() from None
+        if error is not None:
+            raise error from RuntimeError(f"the code tower's worker raised:\n{got}")
+        return got
+
+    def _send(self, request) -> None:
+        # a worker gone is reported by the next result()
+        with contextlib.suppress(BrokenPipeError):
+            _write_all(self._requests, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+
+    def _stop(self) -> int:
+        """Close the caller's pipe ends and reap the worker: its exit status."""
+        if self._status is None:
+            os.close(self._requests)
+            self._replies.close()
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._status
+
+    def _lost(self) -> RuntimeError:
+        return _exit_error("the code tower's worker", self._stop()) or RuntimeError(
+            "the code tower's worker sent a short reply")
+
+
+def _serve(request_fd: int, write_fd: int, closing, worker: _Worker) -> NoReturn:
+    """The worker's whole life: it answers each request read on
+    ``request_fd`` with :func:`_outcome` of it, pickled to ``write_fd``, until
+    the caller closes its end. It leaves by ``os._exit``, so it runs no
+    ``atexit`` handler and flushes none of the caller's stdio buffers; the
+    status is 0 only if it ended at a request's boundary."""
+    status = 1
     try:
-        style_out = style_fn()
+        os.close(closing[0])
+        closing[1].close()
+        side = _InTurn(worker._code, worker._anchor_ids, worker._lr)
+        opt_share = new_adam_state(worker._share)
+
+        def forward(batch):
+            side.forward(batch)
+            return side.result()
+
+        def share(_):
+            adam_step(worker._share, worker._grads, opt_share, lr=worker._lr)
+
+        run = {"forward": forward, "backward": side.backward, "share": share}
+        with open(request_fd, "rb") as requests:
+            while True:
+                try:
+                    op, arg = pickle.load(requests)
+                except EOFError:   # the caller is done
+                    break
+                reply = _outcome(lambda: run[op](arg))
+                _write_all(write_fd, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+        status = 0
     finally:
-        code_out = code_side.result()
-    return code_out, style_out
+        os._exit(status)
+
+
+def _in_shared_memory(arrays: list[np.ndarray]) -> list[np.ndarray]:
+    """Copies of ``arrays`` in one anonymous shared mapping, which a process
+    forked after this call shares: each side sees the other's writes."""
+    import mmap   # here, as only the worker's caller needs it
+
+    offsets = list(itertools.accumulate((-(-a.nbytes // 64) * 64 for a in arrays), initial=0))
+    buf = mmap.mmap(-1, max(offsets[-1], 1))
+    copies = [np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
+              for a, offset in zip(arrays, offsets)]
+    for copy, a in zip(copies, arrays):
+        copy[...] = a
+    return copies
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``: a signal may cut a pipe write short."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _outcome(fn):
+    """``(None, fn())``, or ``(exc, its traceback)`` for the exception
+    ``fn`` raised: in a forked process that is a bug, which the caller
+    raises."""
+    try:
+        return None, fn()
+    except Exception as exc:
+        import traceback   # here, as it adds 0.3 MB to the caller
+
+        return exc, "".join(traceback.format_exception(exc))
+
+
+def _exit_error(who: str, status: int) -> RuntimeError | None:
+    """The error for a forked process that ended with a non-zero ``status``."""
+    if status < 0:
+        return RuntimeError(f"{who} died of signal {-status}")
+    return RuntimeError(f"{who} exited with status {status}") if status else None
 
 
 def _each(fn, texts):
@@ -550,9 +742,8 @@ def _split_inputs(code: CodeTower, anchors: list[str], positives: list[str]):
         exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
     for i, (status, reply) in enumerate(zip(exits, replies), start=1):
         child = f"the child building slice {i} of {n}"
-        if status != 0:
-            raise RuntimeError(f"{child} died of signal {-status}" if status < 0
-                               else f"{child} exited with status {status}")
+        if error := _exit_error(child, status):
+            raise error
         if reply is None:
             raise RuntimeError(f"{child} sent a short payload")
         error, got = reply
@@ -573,12 +764,7 @@ def _child(write_fd: int, readers, code: CodeTower, anchors: list[str],
     try:
         for reader in readers:
             reader.close()
-        try:
-            reply = (None, _slice_inputs(code, anchors, positives))
-        except Exception as exc:   # a bug: the caller raises it
-            import traceback   # here, as it adds 0.3 MB to the caller
-
-            reply = (exc, "".join(traceback.format_exception(exc)))
+        reply = _outcome(lambda: _slice_inputs(code, anchors, positives))
         payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as out:
             out.write(payload)

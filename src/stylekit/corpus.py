@@ -96,7 +96,9 @@ def _dedup_key(text: str) -> str:
 
 def _iter_input_lines(paths):
     """Yield (line_no, payload) pairs from JSONL files, plus synthetic
-    records for plain source files / directories."""
+    records for plain source files / directories. A file of a directory is
+    named by its POSIX path below the directory, without ``.py``; a source
+    file that is not UTF-8 yields the :class:`MalformedRecord` that names it."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
     line_no = 0
@@ -108,10 +110,16 @@ def _iter_input_lines(paths):
                     if raw.strip():
                         yield line_no, raw
             continue
+        top = path if path.is_dir() else path.parent
         for src in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
             line_no += 1
-            text = src.read_text(encoding="utf-8-sig")
-            yield line_no, {"id": src.stem, "code1": text, "code2": text}
+            try:
+                text = src.read_text(encoding="utf-8-sig")
+            except UnicodeDecodeError as exc:
+                yield line_no, MalformedRecord(line_no, f"{src}: not UTF-8: {exc}")
+                continue
+            rec_id = src.relative_to(top).with_suffix("").as_posix()
+            yield line_no, {"id": rec_id, "code1": text, "code2": text}
 
 
 def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
@@ -120,9 +128,10 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
 
     Records whose token count exceeds ``max_tokens`` on either side are
     dropped, as are exact duplicates of ``code2`` (after trailing
-    whitespace is stripped, first occurrence wins). Malformed lines, and
-    records the lexer rejects, raise :class:`MalformedRecord` unless
-    ``lenient`` is set, in which case they are counted and skipped.
+    whitespace is stripped, first occurrence wins). Malformed lines, source
+    files that are not UTF-8, and records the lexer rejects, raise
+    :class:`MalformedRecord` unless ``lenient`` is set, in which case they
+    are counted and skipped. An empty source file is a record.
     The manifest reconciles: kept + dropped = input lines.
     """
     records: list[CorpusRecord] = []
@@ -133,10 +142,12 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
     for line_no, payload in _iter_input_lines(paths):
         counts["input"] += 1
         try:
+            if isinstance(payload, MalformedRecord):
+                raise payload
             doc = json_record(line_no, payload) if isinstance(payload, str) else payload
             code1 = doc.get("code1")
             code2 = doc.get("code2")
-            if not code1 or not code2:
+            if isinstance(payload, str) and (not code1 or not code2):   # a file may be empty
                 raise MalformedRecord(line_no, "code1/code2 missing or empty")
             if not isinstance(code1, str) or not isinstance(code2, str):
                 raise MalformedRecord(line_no, "code1/code2 must be strings")

@@ -32,10 +32,13 @@ rows a batch skips still decay as in dense Adam (not LazyAdam). Past
 
 The towers share no array, so each step of ``contrastive.train`` is two
 phases, the forwards and then each tower's backward and ``adam_step``, and
-``contrastive._side_by_side`` runs the code tower's call of each on a helper
-thread where both towers' BLAS threads fit on the CPUs. No state lives
-outside a tower's own params and Adam state, and each tower's operations
-keep their order, so results are bit-identical to running them in turn.
+where both towers' BLAS threads fit on the CPUs a forked worker process runs
+the code tower's side of each, plus the ``adam_step`` of some style tower
+tensors (``contrastive.WORKER_SHARE``). ``adam_step`` updates each tensor on
+its own, elementwise, so splitting one step's tensors between two calls with
+the same step count ``t`` is bit-exact. No state lives outside a tower's own
+params and Adam state, and each side's operations keep their order, so
+results are bit-identical to running the towers in turn.
 """
 
 from __future__ import annotations

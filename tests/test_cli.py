@@ -416,6 +416,22 @@ def test_pairs_names_a_file_with_no_snippets_and_goes_on(tmp_path):
     assert [json.loads(line)["file_id"] for line in done.stdout.splitlines()] == ["good"] * 2
 
 
+def test_pairs_reads_a_package_tree_and_names_a_file_that_is_not_utf8(tmp_path, capsys):
+    src_dir = tmp_path / "pkg"
+    (src_dir / "sub").mkdir(parents=True)
+    (src_dir / "__init__.py").write_text(RICH)
+    (src_dir / "sub" / "__init__.py").write_text(RICH.replace("alpha", "gamma"))
+    code, out, _ = run(capsys, "pairs", src_dir)
+    assert code == 0
+    assert {json.loads(line)["file_id"] for line in out.splitlines()} == {"__init__",
+                                                                       "sub/__init__"}
+    (src_dir / "sub" / "latin.py").write_bytes("s = 'café'\n".encode("latin-1"))
+    code, _, err = run(capsys, "pairs", src_dir)
+    assert code == 2 and "latin.py: not UTF-8" in err
+    code, lenient_out, _ = run(capsys, "pairs", src_dir, "--lenient")
+    assert code == 0 and lenient_out == out
+
+
 def test_determinism_same_seed_same_output(tmp_path, capsys):
     src_dir = tmp_path / "srcs"
     src_dir.mkdir()

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import os
 import signal
-import threading
 import time
 import warnings
 
@@ -286,8 +285,9 @@ def test_train_warns_once_when_the_sampler_leaves_pairs_out(tmp_path):
 
 @pytest.fixture(params=[True, False], ids=["overlapped", "in_turn"])
 def overlap(request, monkeypatch):
-    """Run ``train``'s towers on a helper thread, or one after the other,
-    whatever this host's CPUs and BLAS threads would select."""
+    """Run ``train``'s code tower in a forked worker beside the style tower,
+    or the towers one after the other, whatever this host's CPUs and BLAS
+    threads would select."""
     monkeypatch.setattr(contrastive, "_overlap_towers", lambda: request.param)
     return request.param
 
@@ -321,15 +321,18 @@ def test_overlapped_and_in_turn_training_are_bit_identical(monkeypatch, tmp_path
         monkeypatch.setattr(contrastive, "_overlap_towers", lambda: overlapped)
         path = tmp_path / f"{overlapped}.ckpt"
         with pytest.warns(UntrainedPairs):
-            _, logs = train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=11),
-                            checkpoint_path=path)
+            model, logs = train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=11),
+                                checkpoint_path=path)
         results.append((path.read_bytes(), [repr(e.mean_loss) for e in logs]))
+        # no tensor is left a view of the memory the worker shared
+        assert all(p.flags.owndata for tower in (model.code, model.style)
+                   for p in tower.params.values())
     assert results[0] == results[1]
 
 
 def test_diverging_train_raises_non_finite_loss_with_warnings_as_errors(overlap):
-    # numpy's error state is per thread, so the code tower's helper thread
-    # must ignore the overflow itself, or it raises a RuntimeWarning here
+    # the code tower's worker must ignore the overflow as the caller does, or
+    # its RuntimeWarning is raised here
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteLoss):
@@ -356,61 +359,141 @@ def broken(self, cache, dout):
 
 @pytest.mark.parametrize("failing, other", [(CodeTower, StyleTower), (StyleTower, CodeTower)],
                          ids=["code", "style"])
-def test_train_raises_a_tower_error_after_both_sides_finish(monkeypatch, failing, other):
+def test_train_raises_a_tower_error_after_both_sides_finish(monkeypatch, tmp_path, failing,
+                                                           other):
     """With the towers overlapped, one tower's backward raises and the
     other's is slow. ``train`` raises that error only once the slow side
-    has finished, and leaves no thread."""
-    finished = []
+    has finished, and leaves no worker. The slow side records that it
+    finished in a file, which the worker's writes reach."""
+    finished = tmp_path / "finished"
     original = other.backward
 
     def slow(self, cache, dout):
         time.sleep(0.2)
         grads = original(self, cache, dout)
-        finished.append(other)
+        with finished.open("a") as fh:
+            fh.write(f"{type(self).__name__}\n")
         return grads
 
     monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
     monkeypatch.setattr(other, "backward", slow)
     monkeypatch.setattr(failing, "backward", broken)
-    threads = threading.active_count()
     with pytest.raises(TowerFailure, match=f"^{failing.__name__} failed$"):
         train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
-    assert finished == [other]
-    assert threading.active_count() == threads
+    assert finished.read_text().splitlines() == [other.__name__]
+    assert no_child_left()
 
 
 @pytest.mark.parametrize("step", ["forward", "backward"])
 def test_train_raises_the_code_towers_error_when_both_towers_fail(monkeypatch, overlap, step):
     monkeypatch.setattr(CodeTower, step, broken)
     monkeypatch.setattr(StyleTower, step, broken)
-    threads = threading.active_count()
     with pytest.raises(TowerFailure, match="^CodeTower failed$"):
         train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
-    assert threading.active_count() == threads
+    assert no_child_left()
 
 
 def test_train_runs_the_code_tower_where_selected_on_a_helper_that_ends_with_it(
-        monkeypatch, overlap):
-    ran_on = set()
+        monkeypatch, tmp_path, overlap):
+    """The code tower's forward runs in one process: a forked worker where
+    the towers overlap, else the caller. The pids go to a file, which the
+    worker's writes reach, and no worker outlives the call."""
+    ran_in = tmp_path / "pids"
     original = CodeTower.forward
 
     def recorded(self, *args):
-        ran_on.add(threading.current_thread())
+        with ran_in.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
         return original(self, *args)
 
     monkeypatch.setattr(CodeTower, "forward", recorded)
-    threads = threading.active_count()
     train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
-    assert len(ran_on) == 1
-    assert (threading.current_thread() not in ran_on) is overlap
-    assert threading.active_count() == threads
-    if overlap:
-        assert not any(t.is_alive() for t in ran_on)
+    pids = set(ran_in.read_text().split())
+    assert len(pids) == 1
+    assert (str(os.getpid()) not in pids) is overlap
+    assert no_child_left()
 
 
-def test_train_equals_a_dense_adam_reference_bit_for_bit():
-    """Two epochs of ``train``, and the same steps again with every ``emb``
-    gradient densified and the whole-tensor Adam of ``test_nn``."""
+def interrupting_log(entry):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("cause, cfg, raised", [
+    ("interrupt", dict(), KeyboardInterrupt),
+    ("diverged", dict(lr=1e30), NonFiniteLoss),
+    ("code_tower", dict(), TowerFailure),
+], ids=["interrupt", "diverged", "code_tower"])
+def test_no_worker_outlives_a_train_call_that_raises(monkeypatch, cause, cfg, raised):
+    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    if cause == "code_tower":
+        monkeypatch.setattr(CodeTower, "backward", broken)
+    log_fn = interrupting_log if cause == "interrupt" else None
+    with pytest.raises(raised):
+        train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=0, **cfg), log_fn=log_fn)
+    assert no_child_left()
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda: os._exit(7), "exited with status 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "died of signal 9"),
+], ids=["exit", "signal"])
+def test_a_worker_that_ends_mid_step_raises_runtime_error(monkeypatch, fault, message):
+    caller, real = os.getpid(), CodeTower.backward
+
+    def backward(self, cache, dout):
+        if os.getpid() != caller:
+            fault()
+        return real(self, cache, dout)
+
+    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(CodeTower, "backward", backward)
+    with pytest.raises(RuntimeError, match=f"^the code tower's worker {message}$"):
+        train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert no_child_left()
+
+
+def test_the_worker_runs_no_exit_handler_and_flushes_no_buffer_of_the_callers(monkeypatch,
+                                                                            capfd):
+    import atexit
+    import io
+    import sys
+
+    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    with io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"))) as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        print("once", end="")                    # buffered across the fork
+        atexit.register(os.write, 2, b"an exit handler ran\n")
+        try:
+            train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+        finally:
+            atexit.unregister(os.write)
+    assert capfd.readouterr() == ("once", "")
+    assert no_child_left()
+
+
+def test_a_non_finite_gradient_is_named_in_params_order_on_both_schedules(monkeypatch, overlap):
+    """The worker updates ``wr`` while the caller updates ``w4``: both
+    reject a non-finite gradient, and the caller's ``w4`` comes first."""
+    from stylekit.nn import NonFiniteGradient
+
+    real = StyleTower.backward
+
+    def backward(self, cache, dout):
+        grads = real(self, cache, dout)
+        grads["w4"][0, 0] = grads["wr"][0, 0] = np.nan
+        return grads
+
+    monkeypatch.setattr(StyleTower, "backward", backward)
+    with pytest.raises(NonFiniteGradient) as caught:
+        train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+    assert caught.value.tensor_name == "w4"
+    assert no_child_left()
+
+
+def test_train_equals_a_dense_adam_reference_bit_for_bit(monkeypatch):
+    """Two epochs of ``train``, with the code tower in a forked worker and
+    in turn, and the same steps again with every ``emb`` gradient densified
+    and the whole-tensor Adam of ``test_nn``."""
     from test_nn import adam_step_dense
 
     from stylekit import contrastive
@@ -418,7 +501,10 @@ def test_train_equals_a_dense_adam_reference_bit_for_bit():
 
     pairs = tiny_pairs()
     cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
-    model, _ = train(pairs, cfg)
+    models = []
+    for overlapped in (True, False):
+        monkeypatch.setattr(contrastive, "_overlap_towers", lambda: overlapped)
+        models.append(train(pairs, cfg)[0])
 
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
@@ -447,9 +533,10 @@ def test_train_equals_a_dense_adam_reference_bit_for_bit():
             adam_step_dense(code.params, code_grads, opt_code, lr=cfg.lr)
             adam_step_dense(style.params, style_grads, opt_style, lr=cfg.lr)
     assert quiet
-    for trained, reference in ((model.code, code), (model.style, style)):
-        for name, value in reference.params.items():
-            assert np.array_equal(trained.params[name], value), name
+    for model in models:
+        for trained, reference in ((model.code, code), (model.style, style)):
+            for name, value in reference.params.items():
+                assert np.array_equal(trained.params[name], value), name
 
 
 def test_train_duplicate_pair_floor():

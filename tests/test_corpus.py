@@ -211,6 +211,43 @@ def test_ingest_directory_of_sources(tmp_path):
     assert all(r.code1 == r.code2 for r in corp.records)
 
 
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_ingest_names_a_directory_file_by_its_path_below_the_directory(tmp_path, lenient):
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "__init__.py").write_text("a = 1\n")
+    (pkg / "sub" / "__init__.py").write_text("b = 2\n")
+    (pkg / "sub" / "empty.py").write_text("")   # an empty module is a record
+    corp = ingest(pkg, lenient=lenient)
+    assert [r.id for r in corp.records] == ["__init__", "sub/__init__", "sub/empty"]
+    assert corp.records[2].code2 == ""
+    assert corp.manifest.counts["kept"] == 3
+    assert [r.id for r in ingest(pkg / "sub" / "__init__.py").records] == ["__init__"]
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_a_source_file_that_is_not_utf8_is_malformed_and_named(tmp_path, lenient):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("a = 1\n")
+    (pkg / "latin.py").write_bytes("s = 'café'\n".encode("latin-1"))
+    if not lenient:
+        with pytest.raises(MalformedRecord, match=r"^line 2: .*latin\.py: not UTF-8: "):
+            ingest(pkg)
+        return
+    corp = ingest(pkg, lenient=True)
+    assert [r.id for r in corp.records] == ["a"]
+    assert corp.manifest.counts == {"input": 2, "kept": 1, "dropped_dupe": 0,
+                                    "dropped_len": 0, "dropped_malformed": 1}
+
+
+def test_a_jsonl_record_with_empty_code_is_still_malformed(tmp_path):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [{"id": "r0", "code1": "", "code2": "x = 1"}])
+    with pytest.raises(MalformedRecord, match="code1/code2 missing or empty"):
+        ingest(path)
+
+
 def test_ingest_counts_each_distinct_text_once(tmp_path, monkeypatch):
     (tmp_path / "pkg").mkdir()
     (tmp_path / "pkg" / "a.py").write_text("a = 1\n")
