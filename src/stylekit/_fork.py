@@ -1,0 +1,150 @@
+"""A forked process that answers requests in order: stylekit's one fork
+protocol, which trains the code tower beside the style tower and builds a
+pair batch's inputs on several CPUs."""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import pickle
+from typing import Callable, NoReturn
+
+
+class Forked:
+    """A forked process that runs ``start()`` once, then answers each request
+    it is sent with ``serve(request)``, where ``serve`` is what ``start``
+    returned, in order, until the caller stops sending. It inherits the
+    caller's memory as it was at the fork, so ``start`` closes over what it
+    needs; requests and replies are pickled, on one pipe each way.
+
+    The process first closes the caller's ends of its own pipes and of every
+    other live ``Forked``'s, so that only the caller holds them: once the
+    caller closes its ends, a process waiting on a request sees EOF and
+    exits, and one blocked on writing a reply fails, in whatever order they
+    are reaped. It leaves by ``os._exit``, so it runs no ``atexit`` handler
+    and flushes none of the caller's stdio buffers; its status is 0 only if
+    it ended at a request's boundary.
+
+    An exception ``start`` or ``serve`` raised is a bug, which :meth:`reply`
+    raises, caused by a ``RuntimeError`` that holds its traceback. A process
+    that dies, exits non-zero or sends a short reply raises ``RuntimeError``
+    naming ``who``. Leaving the ``with`` block closes the caller's ends and
+    reaps the process, whatever was raised; if nothing was, a non-zero exit
+    raises. A pipe or fork that fails on entering leaves no end open. On
+    Python 3.12 and later ``os.fork`` may emit a ``DeprecationWarning`` once
+    OpenBLAS has started its threads."""
+
+    # Every Forked entered and not yet reaped, in this process: pipe ends are
+    # per process, so a new process must close the caller's ends of all of them.
+    _live: list[Forked] = []
+
+    def __init__(self, who: str, start: Callable[[], Callable]):
+        self.who, self._start = who, start
+        self._status: int | None = None
+
+    def __enter__(self):
+        fds: list[int] = []
+        try:
+            fds += os.pipe()   # requests: the process reads, the caller writes
+            fds += os.pipe()   # replies: the caller reads, the process writes
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        request_fd, self._requests, reply_fd, write_fd = fds
+        if pid == 0:
+            self._serve(request_fd, write_fd, (self._requests, reply_fd))
+        os.close(request_fd)
+        os.close(write_fd)
+        self._replies = open(reply_fd, "rb")
+        self._pid = pid
+        Forked._live.append(self)
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if self._reap() != 0 and kind is None:
+            raise self._lost()
+
+    def send(self, request, last: bool = False) -> None:
+        """Send ``request``; with ``last``, then close the request pipe, so
+        the process exits once it has answered, and a short reply ends in
+        EOF, not in a wait for the next request."""
+        # a process gone is reported by the next reply()
+        with contextlib.suppress(BrokenPipeError):
+            _write_all(self._requests, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
+        if last:
+            os.close(self._requests)
+            self._requests = None
+
+    def reply(self):
+        """The reply to the oldest request not yet answered: what ``serve``
+        returned, else the exception it raised."""
+        try:   # unpickled as read: no copy of the payload
+            error, got = pickle.load(self._replies)
+        except (EOFError, pickle.UnpicklingError):
+            raise self._lost() from None
+        if error is not None:
+            raise error from RuntimeError(f"{self.who} raised:\n{got}")
+        return got
+
+    def _close(self) -> None:
+        if self._requests is not None:
+            os.close(self._requests)
+            self._requests = None
+        self._replies.close()
+
+    def _reap(self) -> int:
+        """Close the caller's ends and reap the process: its exit status."""
+        if self._status is None:
+            self._close()
+            Forked._live.remove(self)
+            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
+        return self._status
+
+    def _lost(self) -> RuntimeError:
+        status = self._reap()
+        if status < 0:
+            return RuntimeError(f"{self.who} died of signal {-status}")
+        if status > 0:
+            return RuntimeError(f"{self.who} exited with status {status}")
+        return RuntimeError(f"{self.who} sent a short payload")
+
+    def _serve(self, request_fd: int, write_fd: int, callers: tuple[int, int]) -> NoReturn:
+        """The process's whole life."""
+        status = 1
+        try:
+            for fd in callers:
+                os.close(fd)
+            for other in Forked._live:
+                other._close()
+            started = _outcome(self._start)
+            with open(request_fd, "rb") as requests:
+                while True:
+                    try:
+                        request = pickle.load(requests)
+                    except EOFError:   # the caller is done
+                        break
+                    reply = started if started[0] is not None else _outcome(started[1], request)
+                    _write_all(write_fd, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
+            status = 0
+        finally:
+            os._exit(status)
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``: a signal may cut a pipe write short."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _outcome(fn, *args):
+    """``(None, fn(*args))``, or ``(exc, its traceback)`` for the exception
+    ``fn`` raised."""
+    try:
+        return None, fn(*args)
+    except Exception as exc:
+        import traceback   # here, as it adds 0.3 MB to the caller
+
+        return exc, "".join(traceback.format_exception(exc))

@@ -14,16 +14,15 @@ import itertools
 import json
 import math
 import os
-import pickle
 import re
 import time
 import warnings
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import NoReturn
 
 import numpy as np
 
+from ._fork import Forked
 from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, jsonl_objects
 from .features import analyze, normalize
 from .lexer import InputError
@@ -327,9 +326,7 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     bit-identical either way. On a 2-core Xeon, 3 desk-scale epochs took
     2.47 s in the worker against 3.80 s in turn at one OpenBLAS thread, and
     8.45 s against 3.16 s at the default two, whose matrix products contend
-    for the cores (medians of 4 fresh processes). The worker lives only for
-    this call. On Python 3.12 and later ``os.fork`` may emit a
-    ``DeprecationWarning`` once OpenBLAS has started its threads."""
+    for the cores (medians of 4 fresh processes)."""
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
@@ -365,7 +362,7 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                 try:
                     style_out = style.forward(style_vecs[batch], style_cache).astype(np.float64)
                 finally:
-                    code_out = side.result()
+                    code_out = side.reply()
                 a = l2_normalize(code_out)
                 p = l2_normalize(style_out)
                 loss, da, dp = info_nce_with_grad(a, p, cfg.temperature,
@@ -380,8 +377,8 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
                     side.share(grads)
                     adam_step(own, grads, opt_style, lr=cfg.lr)
                 finally:
-                    side.result()   # the code tower's error first
-                side.result()       # then the share's, last in params order
+                    side.reply()   # the code tower's error first
+                side.reply()       # then the share's, last in params order
             wall_ms = (time.perf_counter() - t0) * 1000.0
             entry = EpochLog(epoch=epoch, mean_loss=float(np.mean(losses)),
                              wall_ms=wall_ms)
@@ -442,10 +439,12 @@ class _InTurn:
         self.cache: dict = {}
         self.out = None
 
-    def forward(self, batch: list[int]) -> None:
+    def forward(self, batch: list[int]) -> np.ndarray:
+        """The code tower's forward output, also kept for :meth:`reply`."""
         self.cache = {}
         self.out = self.code.forward([self.anchor_ids[i] for i in batch],
                                      self.cache).astype(np.float64)
+        return self.out
 
     def backward(self, dcode: np.ndarray) -> None:
         adam_step(self.code.params, self.code.backward(self.cache, dcode), self.opt,
@@ -454,13 +453,13 @@ class _InTurn:
     def share(self, grads: dict) -> None:
         pass
 
-    def result(self):
+    def reply(self):
         """The code tower's forward output, once per ``forward``; else None."""
         out, self.out = self.out, None
         return out
 
 
-class _Worker:
+class _Worker(Forked):
     """The code tower's side of each training step, run by a forked worker
     process beside the caller's style tower. The worker also runs the Adam
     update of the style tower's ``shared`` tensors, once :meth:`share` has
@@ -468,17 +467,9 @@ class _Worker:
 
     The tensors the worker updates, and those gradients, live in anonymous
     shared memory, so the caller's style forward reads the worker's update
-    and no array of megabytes crosses a pipe. Requests (batch indices, the
-    code tower's upstream gradient) and replies (its forward output, each
-    step's error) are pickled on two pipes; :meth:`result` reads the
-    replies in order.
-
-    A worker's bug is raised by :meth:`result`, caused by a
-    ``RuntimeError`` that holds its traceback; a worker that dies, exits
-    non-zero or sends a short reply raises ``RuntimeError``. On leaving, the
-    caller closes its pipe ends, so a worker waiting on a request exits, and
-    reaps it, whatever was raised; then, if nothing was, it copies the
-    shared tensors into arrays of their own."""
+    and no array of megabytes crosses a pipe; only batch indices, the code
+    tower's forward output and its upstream gradient do. On leaving without
+    an error, the caller copies the shared tensors into arrays of their own."""
 
     def __init__(self, code: CodeTower, style: StyleTower, anchor_ids: list, lr: float):
         self.shared = WORKER_SHARE
@@ -487,109 +478,45 @@ class _Worker:
                                         for name in names]))
         for params, names in self._tensors:
             params.update((name, next(views)) for name in names)
-        self._share = {name: style.params[name] for name in self.shared}
-        self._grads = dict(zip(self.shared, _in_shared_memory(
-            [np.zeros_like(p) for p in self._share.values()])))
-        self._code, self._anchor_ids, self._lr = code, anchor_ids, lr
-        self._status: int | None = None
-
-    def __enter__(self):
-        request_fd, self._requests = os.pipe()
-        reply_fd, write_fd = os.pipe()
-        self._replies = open(reply_fd, "rb")
-        try:
-            if (pid := os.fork()) == 0:
-                _serve(request_fd, write_fd, (self._requests, self._replies), self)
-        except BaseException:
-            os.close(self._requests)
-            self._replies.close()
-            raise
-        finally:
-            os.close(request_fd)
-            os.close(write_fd)
-        self._pid = pid
-        return self
+        share = {name: style.params[name] for name in self.shared}
+        grads = self._grads = dict(zip(self.shared, _in_shared_memory(
+            [np.zeros_like(p) for p in share.values()])))
+        # ``start`` holds no reference to the worker: a cycle through it would
+        # keep the shared memory mapped until the cyclic collector runs.
+        super().__init__("the code tower's worker",
+                         lambda: _start_worker(code, anchor_ids, lr, share, grads))
 
     def __exit__(self, kind, exc, tb):
-        status = self._stop()
+        super().__exit__(kind, exc, tb)
         if kind is None:
-            if status != 0:
-                raise self._lost()
             for params, names in self._tensors:
                 params.update((name, params[name].copy()) for name in names)
 
     def forward(self, batch: list[int]) -> None:
-        self._send(("forward", batch))
+        self.send(("forward", batch))
 
     def backward(self, dcode: np.ndarray) -> None:
-        self._send(("backward", dcode))
+        self.send(("backward", dcode))
 
     def share(self, grads: dict) -> None:
         for name, g in self._grads.items():
             g[...] = grads[name]
-        self._send(("share", None))
-
-    def result(self):
-        """The reply to the oldest request not yet read: the forward output,
-        or None; or the error the worker raised."""
-        try:
-            error, got = pickle.load(self._replies)
-        except (EOFError, pickle.UnpicklingError):
-            raise self._lost() from None
-        if error is not None:
-            raise error from RuntimeError(f"the code tower's worker raised:\n{got}")
-        return got
-
-    def _send(self, request) -> None:
-        # a worker gone is reported by the next result()
-        with contextlib.suppress(BrokenPipeError):
-            _write_all(self._requests, pickle.dumps(request, pickle.HIGHEST_PROTOCOL))
-
-    def _stop(self) -> int:
-        """Close the caller's pipe ends and reap the worker: its exit status."""
-        if self._status is None:
-            os.close(self._requests)
-            self._replies.close()
-            self._status = os.waitstatus_to_exitcode(os.waitpid(self._pid, 0)[1])
-        return self._status
-
-    def _lost(self) -> RuntimeError:
-        return _exit_error("the code tower's worker", self._stop()) or RuntimeError(
-            "the code tower's worker sent a short reply")
+        self.send(("share", None))
 
 
-def _serve(request_fd: int, write_fd: int, closing, worker: _Worker) -> NoReturn:
-    """The worker's whole life: it answers each request read on
-    ``request_fd`` with :func:`_outcome` of it, pickled to ``write_fd``, until
-    the caller closes its end. It leaves by ``os._exit``, so it runs no
-    ``atexit`` handler and flushes none of the caller's stdio buffers; the
-    status is 0 only if it ended at a request's boundary."""
-    status = 1
-    try:
-        os.close(closing[0])
-        closing[1].close()
-        side = _InTurn(worker._code, worker._anchor_ids, worker._lr)
-        opt_share = new_adam_state(worker._share)
+def _start_worker(code: CodeTower, anchor_ids: list, lr: float, share: dict, grads: dict):
+    """The worker's ``start``: the ``serve`` that runs the code tower's side
+    of each step, and the Adam update of the style tower's ``share`` from
+    ``grads``. Both Adam states are built here, in the worker, so the
+    caller never holds them."""
+    side = _InTurn(code, anchor_ids, lr)
+    opt_share = new_adam_state(share)
 
-        def forward(batch):
-            side.forward(batch)
-            return side.result()
+    def update_share(_):
+        adam_step(share, grads, opt_share, lr=lr)
 
-        def share(_):
-            adam_step(worker._share, worker._grads, opt_share, lr=worker._lr)
-
-        run = {"forward": forward, "backward": side.backward, "share": share}
-        with open(request_fd, "rb") as requests:
-            while True:
-                try:
-                    op, arg = pickle.load(requests)
-                except EOFError:   # the caller is done
-                    break
-                reply = _outcome(lambda: run[op](arg))
-                _write_all(write_fd, pickle.dumps(reply, pickle.HIGHEST_PROTOCOL))
-        status = 0
-    finally:
-        os._exit(status)
+    run = {"forward": side.forward, "backward": side.backward, "share": update_share}
+    return lambda request: run[request[0]](request[1])
 
 
 def _in_shared_memory(arrays: list[np.ndarray]) -> list[np.ndarray]:
@@ -604,32 +531,6 @@ def _in_shared_memory(arrays: list[np.ndarray]) -> list[np.ndarray]:
     for copy, a in zip(copies, arrays):
         copy[...] = a
     return copies
-
-
-def _write_all(fd: int, data: bytes) -> None:
-    """Write all of ``data`` to ``fd``: a signal may cut a pipe write short."""
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _outcome(fn):
-    """``(None, fn())``, or ``(exc, its traceback)`` for the exception
-    ``fn`` raised: in a forked process that is a bug, which the caller
-    raises."""
-    try:
-        return None, fn()
-    except Exception as exc:
-        import traceback   # here, as it adds 0.3 MB to the caller
-
-        return exc, "".join(traceback.format_exception(exc))
-
-
-def _exit_error(who: str, status: int) -> RuntimeError | None:
-    """The error for a forked process that ended with a non-zero ``status``."""
-    if status < 0:
-        return RuntimeError(f"{who} died of signal {-status}")
-    return RuntimeError(f"{who} exited with status {status}") if status else None
 
 
 def _each(fn, texts):
@@ -672,8 +573,7 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
     A batch of at least ``SPLIT_MIN_TEXTS`` texts (distinct anchors plus
     positives) is built on the CPUs the process may use, by forked children
     beside the caller (:func:`_split_inputs`); every id, row and warning is
-    byte-identical to the serial path's. On Python 3.12 and later ``os.fork``
-    may emit a ``DeprecationWarning`` once OpenBLAS has started its threads."""
+    byte-identical to the serial path's."""
     slots: dict[str, int] = {}
     slot = [slots.setdefault(p.anchor, len(slots)) for p in pairs]
     distinct_ids, rows = _split_inputs(code, list(slots), [p.positive for p in pairs])
@@ -692,85 +592,32 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
             [rows[i] for i in kept])
 
 
-def _slice_inputs(code: CodeTower, anchors: list[str], positives: list[str]):
-    """The code tower's ids of each of the distinct ``anchors`` and the style
-    tower's row of each of ``positives``."""
-    return code_inputs(code, anchors)[0], style_inputs(positives)
-
-
 def _split_inputs(code: CodeTower, anchors: list[str], positives: list[str]):
-    """:func:`_slice_inputs` of the whole batch, cut into one contiguous slice
-    of ``anchors`` and of ``positives`` per CPU, but into no more slices than
-    leaves each about half of ``SPLIT_MIN_TEXTS`` texts. A forked child builds
-    each slice after the first, which the caller builds meanwhile; the
-    children inherit their slices and send back the pickled result on a pipe,
-    read in slice order. With one slice, or no ``os.fork``, the caller builds
-    the batch alone.
-
-    A child's bug is raised here, caused by a ``RuntimeError`` that holds its
-    traceback; a child that dies, exits non-zero or sends a short payload
-    raises ``RuntimeError``. Every child is reaped before this returns or
-    raises: the read ends are closed first, so a child blocked on its write
-    fails and exits."""
+    """The code tower's ids of each of the distinct ``anchors`` and the style
+    tower's row of each of ``positives``, built in one contiguous slice of
+    both per CPU, but in no more slices than leaves each about half of
+    ``SPLIT_MIN_TEXTS`` texts, and in one without ``os.fork``. The caller
+    builds the first slice while a :class:`Forked` child builds each other
+    one, which it inherits; the results are joined in slice order."""
     n = min(_usable_cpus(), 2 * (len(anchors) + len(positives)) // SPLIT_MIN_TEXTS)
-    if n < 2 or not hasattr(os, "fork"):
-        return _slice_inputs(code, anchors, positives)
+    n = n if n > 1 and hasattr(os, "fork") else 1
     slices = [(anchors[len(anchors) * i // n:len(anchors) * (i + 1) // n],
                positives[len(positives) * i // n:len(positives) * (i + 1) // n])
               for i in range(n)]
-    readers, pids = [], []
-    try:
-        for part in slices[1:]:
-            fd, write_fd = os.pipe()
-            readers.append(open(fd, "rb"))
-            try:
-                if (pid := os.fork()) == 0:
-                    _child(write_fd, readers, code, *part)
-            finally:
-                os.close(write_fd)
-            pids.append(pid)
-        parts = [_slice_inputs(code, *slices[0])]
-        replies = []
-        for reader in readers:   # unpickled as read: no copy of the payload
-            try:
-                replies.append(pickle.load(reader))
-            except (EOFError, pickle.UnpicklingError):
-                replies.append(None)
-    finally:
-        for reader in readers:
-            reader.close()
-        exits = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
-    for i, (status, reply) in enumerate(zip(exits, replies), start=1):
-        child = f"the child building slice {i} of {n}"
-        if error := _exit_error(child, status):
-            raise error
-        if reply is None:
-            raise RuntimeError(f"{child} sent a short payload")
-        error, got = reply
-        if error is not None:
-            raise error from RuntimeError(f"{child} raised:\n{got}")
-        parts.append(got)
+
+    def build(i):
+        part_anchors, part_positives = slices[i]
+        return code_inputs(code, part_anchors)[0], style_inputs(part_positives)
+
+    with contextlib.ExitStack() as stack:
+        children = []
+        for i in range(1, n):
+            children.append(stack.enter_context(
+                Forked(f"the child building slice {i} of {n}", lambda: build)))
+            children[-1].send(i, last=True)
+        parts = [build(0), *(child.reply() for child in children)]
     return ([ids for part_ids, _ in parts for ids in part_ids],
             [row for _, part_rows in parts for row in part_rows])
-
-
-def _child(write_fd: int, readers, code: CodeTower, anchors: list[str],
-           positives: list[str]) -> NoReturn:
-    """A forked child's whole life: :func:`_slice_inputs` of its slice, or
-    the exception that raised, pickled to ``write_fd``. It leaves by
-    ``os._exit``, so it runs no ``atexit`` handler and flushes none of the
-    caller's stdio buffers; the status is 0 only if the payload was written."""
-    status = 1
-    try:
-        for reader in readers:
-            reader.close()
-        reply = _outcome(lambda: _slice_inputs(code, anchors, positives))
-        payload = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
-        with open(write_fd, "wb") as out:
-            out.write(payload)
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def _embed(model: EncoderModel, distinct_ids, slot, rows):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import errno
 import math
 import os
 import signal
@@ -907,3 +908,88 @@ def test_children_run_no_exit_handler_and_flush_no_buffer_of_the_callers(cpus, m
             atexit.unregister(os.write)
     assert capfd.readouterr() == ("once", "")
     assert no_child_left()
+
+
+def failing_call(monkeypatch, name, nth=None):
+    """Count the calls of ``os.<name>``, and make the ``nth`` raise ``OSError``."""
+    real, calls = getattr(os, name), []
+
+    def call(*args):
+        calls.append(args)
+        if len(calls) == nth:
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+        return real(*args)
+
+    monkeypatch.setattr(os, name, call)
+    return calls
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("nth", ["first", "last"])
+@pytest.mark.parametrize("name", ["pipe", "fork"])
+@pytest.mark.parametrize("run", ["train", "split"])
+def test_a_pipe_or_fork_that_fails_leaves_no_descriptor_open_and_no_child(monkeypatch, run,
+                                                                           name, nth):
+    """``os.pipe`` or ``os.fork`` raises on its first or last call: in an
+    overlapped ``train`` whose inputs are built serially, all made by the
+    code tower's worker; in ``_pair_inputs`` split on 3 CPUs, by two
+    children, the first still alive when the last call fails."""
+    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    build_on(monkeypatch, 1 if run == "train" else 3)
+
+    def call():
+        if run == "train":
+            train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+        else:
+            contrastive._pair_inputs(CodeTower(seed=1), tiny_pairs(), skip=True)
+
+    with monkeypatch.context() as counting:
+        calls = failing_call(counting, name)
+        call()
+    failing_call(monkeypatch, name, 1 if nth == "first" else len(calls))
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(OSError, match=os.strerror(errno.EMFILE)):
+        call()
+    assert no_child_left()
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def test_no_child_outlives_a_call_whose_own_slice_raises_beside_full_pipes(monkeypatch):
+    """Each child's reply holds more than a pipe and the caller's own slice
+    raises. A child that kept the caller's end of another child's reply
+    pipe would keep that child blocked on its write after the caller closed
+    its end; reaped in fork order, the two would then hang. The alarm fails
+    such a hang instead of stalling the run."""
+    def hung(signum, frame):
+        raise TimeoutError("_pair_inputs hung")
+
+    build_on(monkeypatch, 3)
+    in_children(monkeypatch, lambda: [][0], parent=True)
+    pairs = [ContrastivePair(f"big{i}:0", f"big{i}", f"{THREE_FUNCS * 200}# {i}\n", THREE_FUNCS)
+             for i in range(6)]
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(IndexError):
+            contrastive._pair_inputs(CodeTower(seed=1), pairs, skip=True)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert no_child_left()
+
+
+def test_train_leaves_no_reference_cycle(monkeypatch, overlap):
+    """Neither the worker nor a child building a slice is kept by a cycle,
+    which would hold the worker's shared memory, and the caller's resident
+    set, until the cyclic collector ran."""
+    import gc
+
+    build_on(monkeypatch, 3)
+    pairs = tiny_pairs()
+    gc.collect()
+    gc.disable()
+    try:
+        train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
