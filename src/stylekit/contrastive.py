@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fork import Forked
+from . import _fork
+from ._fork import Forked, each, in_slices, split_map
 from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, jsonl_objects
 from .features import analyze, normalize
 from .lexer import InputError
@@ -38,14 +39,6 @@ from .nn import (
 from .syntax import SourceDoc, _iter_spans
 
 MIN_SNIPPET_LINES = 3  # non-blank lines
-# Texts (distinct anchors plus positives) a batch needs before _pair_inputs
-# builds it on more than one CPU; each slice keeps about half as many. Medians
-# of 21 alternating calls on held-out pairs, on a 2-core Xeon in a 101 MB
-# process (a default-size encoder loaded), texts: serial vs split on 2 CPUs ms:
-# 18 11.6 vs 15.4, 24 15.6 vs 17.4, 30 18.0 vs 18.9, 36 21.7 vs 21.9,
-# 48 27.8 vs 25.3, 60 32.6 vs 29.5, 96 48.1 vs 38.5. The split breaks even
-# near 36 texts; a larger process copies more page tables when it forks.
-SPLIT_MIN_TEXTS = 64
 # The style tower's tensors whose Adam update the code tower's worker runs
 # (see ``train``), to balance the two sides: 0.52M of the style tower's 1.78M
 # parameters. Median of 4 alternating fresh-process runs of a 3-epoch
@@ -175,16 +168,22 @@ def build_pairs(corpus, seed: int = 0,
     :class:`InsufficientSnippets` warning; a file the lexer rejects has none,
     and its warning names the error. With ``max_pairs_per_file`` the kept
     snippets are sampled without replacement under ``seed``.
+
+    The snippets of a corpus of at least ``_fork.SPLIT_MIN_TEXTS`` records
+    are extracted on the CPUs the process may use, by forked children beside
+    the caller (:func:`stylekit._fork.split_map`); the warnings and the
+    ``seed`` draws keep record order, so pairs and warnings are those of a
+    serial run.
     """
     if seed < 0 or (max_pairs_per_file is not None and max_pairs_per_file < 0):
         raise InvalidSetting("seed and max_pairs_per_file must be non-negative")
     rng = np.random.default_rng(seed)
     pairs: list[ContrastivePair] = []
-    for record in corpus.records:
-        try:
-            snippets, reason = extract_snippets(record.code2), ""
-        except InputError as exc:
-            snippets, reason = [], f" ({type(exc).__name__}: {exc})"
+    extracted = split_map(extract_snippets, [record.code2 for record in corpus.records])
+    for record, snippets in zip(corpus.records, extracted):
+        reason = ""
+        if isinstance(snippets, InputError):
+            snippets, reason = [], f" ({type(snippets).__name__}: {snippets})"
         if len(snippets) < 2:
             warnings.warn(f"file {record.id!r} has {len(snippets)} extractable "
                           f"snippet(s){reason}; skipped", InsufficientSnippets, stacklevel=2)
@@ -407,19 +406,12 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 _ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
 
 
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _overlap_towers() -> bool:
     """Whether ``train`` runs the code tower in a worker process beside the
     style tower: only if both towers' BLAS threads fit on the CPUs this
     process may use. Two pools of one thread per CPU contend, and the
     overlap then runs slower than one tower after the other."""
-    cpus = _usable_cpus()
+    cpus = _fork.usable_cpus()
     counts = (int(m[1]) if (m := _ATOI.match(os.environ.get(var, ""))) else 0
               for var in _BLAS_THREAD_VARS)
     blas = next((n for n in counts if n > 0), cpus)
@@ -533,16 +525,6 @@ def _in_shared_memory(arrays: list[np.ndarray]) -> list[np.ndarray]:
     return copies
 
 
-def _each(fn, texts):
-    """``fn`` of each text, or the ``InputError`` it raised, one at a time."""
-    for text in texts:
-        try:
-            got = fn(text)
-        except InputError as exc:
-            got = exc
-        yield got
-
-
 def code_inputs(code: CodeTower, texts) -> tuple[list, list[int]]:
     """The code tower's input for ``texts``: the bucket ids of each distinct
     text, lexed leniently once, and each text's index in that list. A text
@@ -551,7 +533,7 @@ def code_inputs(code: CodeTower, texts) -> tuple[list, list[int]]:
     slots: dict[str, int] = {}
     slot = [slots.setdefault(text, len(slots)) for text in texts]
     return code.bucket_ids_batch(
-        _each(lambda text: SourceDoc.of(text, lenient=True).tokens, slots)), slot
+        each(lambda text: SourceDoc.of(text, lenient=True).tokens, slots)), slot
 
 
 def style_inputs(texts) -> list:
@@ -559,7 +541,7 @@ def style_inputs(texts) -> list:
     vector as a float32 row, or the ``InputError`` its analysis raised.
     Analysis is lenient, as lexing is: wherever strict analysis succeeds it
     gives the same."""
-    return list(_each(lambda text: np.asarray(normalize(analyze(text, lenient=True)).values,
+    return list(each(lambda text: np.asarray(normalize(analyze(text, lenient=True)).values,
                                               dtype=np.float32), texts))
 
 
@@ -570,10 +552,10 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
     ``InputError`` is skipped with a :class:`SkippedPair` warning, or without
     ``skip`` raises :class:`UnusablePair`.
 
-    A batch of at least ``SPLIT_MIN_TEXTS`` texts (distinct anchors plus
-    positives) is built on the CPUs the process may use, by forked children
-    beside the caller (:func:`_split_inputs`); every id, row and warning is
-    byte-identical to the serial path's."""
+    A batch of at least ``_fork.SPLIT_MIN_TEXTS`` texts (distinct anchors
+    plus positives) is built on the CPUs the process may use, by forked
+    children beside the caller (:func:`_split_inputs`); every id, row and
+    warning is byte-identical to the serial path's."""
     slots: dict[str, int] = {}
     slot = [slots.setdefault(p.anchor, len(slots)) for p in pairs]
     distinct_ids, rows = _split_inputs(code, list(slots), [p.positive for p in pairs])
@@ -594,28 +576,10 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
 
 def _split_inputs(code: CodeTower, anchors: list[str], positives: list[str]):
     """The code tower's ids of each of the distinct ``anchors`` and the style
-    tower's row of each of ``positives``, built in one contiguous slice of
-    both per CPU, but in no more slices than leaves each about half of
-    ``SPLIT_MIN_TEXTS`` texts, and in one without ``os.fork``. The caller
-    builds the first slice while a :class:`Forked` child builds each other
-    one, which it inherits; the results are joined in slice order."""
-    n = min(_usable_cpus(), 2 * (len(anchors) + len(positives)) // SPLIT_MIN_TEXTS)
-    n = n if n > 1 and hasattr(os, "fork") else 1
-    slices = [(anchors[len(anchors) * i // n:len(anchors) * (i + 1) // n],
-               positives[len(positives) * i // n:len(positives) * (i + 1) // n])
-              for i in range(n)]
-
-    def build(i):
-        part_anchors, part_positives = slices[i]
-        return code_inputs(code, part_anchors)[0], style_inputs(part_positives)
-
-    with contextlib.ExitStack() as stack:
-        children = []
-        for i in range(1, n):
-            children.append(stack.enter_context(
-                Forked(f"the child building slice {i} of {n}", lambda: build)))
-            children[-1].send(i, last=True)
-        parts = [build(0), *(child.reply() for child in children)]
+    tower's row of each of ``positives``, built by :func:`in_slices` in
+    slices of both, joined in slice order."""
+    parts = in_slices(lambda part_anchors, part_positives: (
+        code_inputs(code, part_anchors)[0], style_inputs(part_positives)), anchors, positives)
     return ([ids for part_ids, _ in parts for ids in part_ids],
             [row for _, part_rows in parts for row in part_rows])
 

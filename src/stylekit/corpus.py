@@ -9,6 +9,7 @@ tokens excluded.
 
 from __future__ import annotations
 
+import itertools
 import json
 from copy import deepcopy
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -16,13 +17,18 @@ from pathlib import Path
 
 import numpy as np
 
+from ._fork import split_map
 from .features import REGISTRY, SCHEMA, StyleVector, analyze, normalize
-from .lexer import InputError, LexError
+from .lexer import InputError
 from .syntax import SourceDoc
 
 DEFAULT_MAX_TOKENS = 378
 # A manifest's counters; kept + dropped_* = input.
 _COUNTERS = ("input", "kept", "dropped_dupe", "dropped_len", "dropped_malformed")
+# Input lines ingest reads ahead of its in-order checks; their token counts
+# are taken together, on every CPU the process may use. It bounds what ingest
+# holds of the input.
+_READ_AHEAD = 1024
 
 
 class MalformedRecord(InputError, ValueError):
@@ -98,28 +104,73 @@ def _iter_input_lines(paths):
     """Yield (line_no, payload) pairs from JSONL files, plus synthetic
     records for plain source files / directories. A file of a directory is
     named by its POSIX path below the directory, without ``.py``; a source
-    file that is not UTF-8 yields the :class:`MalformedRecord` that names it."""
+    file that is not UTF-8, or a file below a directory that cannot be read
+    (a dangling symlink, a directory named ``*.py``), yields the
+    :class:`MalformedRecord` that names it. A path named in ``paths`` that
+    cannot be read raises its ``OSError``."""
     if isinstance(paths, (str, Path)):
         paths = [paths]
     line_no = 0
     for path in map(Path, paths):
-        if path.suffix == ".jsonl" and not path.is_dir():
+        is_dir = path.is_dir()
+        if path.suffix == ".jsonl" and not is_dir:
             with path.open("r", encoding="utf-8-sig") as fh:
                 for raw in fh:
                     line_no += 1
                     if raw.strip():
                         yield line_no, raw
             continue
-        top = path if path.is_dir() else path.parent
-        for src in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+        top = path if is_dir else path.parent
+        for src in sorted(path.rglob("*.py")) if is_dir else [path]:
             line_no += 1
             try:
                 text = src.read_text(encoding="utf-8-sig")
             except UnicodeDecodeError as exc:
                 yield line_no, MalformedRecord(line_no, f"{src}: not UTF-8: {exc}")
                 continue
+            except OSError as exc:
+                if not is_dir:
+                    raise
+                yield line_no, MalformedRecord(line_no,
+                                               f"{src}: cannot read: {exc.strerror or exc}")
+                continue
             rec_id = src.relative_to(top).with_suffix("").as_posix()
             yield line_no, {"id": rec_id, "code1": text, "code2": text}
+
+
+def _checked_lines(paths):
+    """(line_no, fields) for each input line, in order: the record's
+    ``(id, code1, code2)``, or the :class:`MalformedRecord` that names the
+    line. An exception the input raises ends the lines, as ``(None, exc)``."""
+    auto_id = 0
+    try:
+        for line_no, payload in _iter_input_lines(paths):
+            if isinstance(payload, MalformedRecord):
+                yield line_no, payload
+                continue
+            try:
+                doc = json_record(line_no, payload) if isinstance(payload, str) else payload
+                code1 = doc.get("code1")
+                code2 = doc.get("code2")
+                if isinstance(payload, str) and (not code1 or not code2):   # a file may be empty
+                    raise MalformedRecord(line_no, "code1/code2 missing or empty")
+                if not isinstance(code1, str) or not isinstance(code2, str):
+                    raise MalformedRecord(line_no, "code1/code2 must be strings")
+            except MalformedRecord as exc:
+                yield line_no, exc.with_traceback(None)   # no cycle through this frame
+                continue
+            rec_id = str(doc.get("id") or f"rec{auto_id:06d}")
+            auto_id += 1
+            yield line_no, (rec_id, code1, code2)
+    except Exception as exc:   # raised by ingest in its place, after the lines before it
+        yield None, exc
+
+
+def _read_ahead(items, size: int):
+    """``items`` in lists of up to ``size``."""
+    items = iter(items)
+    while chunk := list(itertools.islice(items, size)):
+        yield chunk
 
 
 def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
@@ -129,52 +180,54 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
     Records whose token count exceeds ``max_tokens`` on either side are
     dropped, as are exact duplicates of ``code2`` (after trailing
     whitespace is stripped, first occurrence wins). Malformed lines, source
-    files that are not UTF-8, and records the lexer rejects, raise
-    :class:`MalformedRecord` unless ``lenient`` is set, in which case they
-    are counted and skipped. An empty source file is a record.
+    files that are not UTF-8 or cannot be read, and records the lexer
+    rejects, raise :class:`MalformedRecord` unless ``lenient`` is set, in
+    which case they are counted and skipped. An empty source file is a record.
     The manifest reconciles: kept + dropped = input lines.
+
+    Lines are read ``_READ_AHEAD`` at a time, and the token counts of at
+    least ``_fork.SPLIT_MIN_TEXTS`` of them are taken on the CPUs the process
+    may use, by forked children beside the caller
+    (:func:`stylekit._fork.split_map`). Every check, id and dedupe runs in
+    line order in the caller, so the corpus, the manifest and the error a
+    strict run raises are those of a serial run.
     """
     records: list[CorpusRecord] = []
     seen_keys: set[str] = set()
     seen_ids: set[str] = set()
     counts = dict.fromkeys(_COUNTERS, 0)
-    auto_id = 0
-    for line_no, payload in _iter_input_lines(paths):
-        counts["input"] += 1
-        try:
-            if isinstance(payload, MalformedRecord):
-                raise payload
-            doc = json_record(line_no, payload) if isinstance(payload, str) else payload
-            code1 = doc.get("code1")
-            code2 = doc.get("code2")
-            if isinstance(payload, str) and (not code1 or not code2):   # a file may be empty
-                raise MalformedRecord(line_no, "code1/code2 missing or empty")
-            if not isinstance(code1, str) or not isinstance(code2, str):
-                raise MalformedRecord(line_no, "code1/code2 must be strings")
-            rec_id = str(doc.get("id") or f"rec{auto_id:06d}")
-            auto_id += 1
-            if rec_id in seen_ids:
-                raise MalformedRecord(line_no, f"duplicate id {rec_id!r}")
-            try:  # a source file gives code1 == code2: count it once, code1 first
-                too_long = max(map(token_count, dict.fromkeys((code1, code2)))) > max_tokens
-            except LexError as exc:
-                raise MalformedRecord(line_no, f"{type(exc).__name__}: {exc}") from exc
-        except MalformedRecord:
-            if lenient:
+    for chunk in _read_ahead(_checked_lines(paths), _READ_AHEAD):
+        # a source file gives code1 == code2: count it once, code1 first
+        sizes = iter(split_map(lambda texts: max(map(token_count, dict.fromkeys(texts))),
+                               [got[1:] for _, got in chunk if isinstance(got, tuple)]))
+        for line_no, got in chunk:
+            if line_no is None:
+                raise got
+            counts["input"] += 1
+            error = got if isinstance(got, MalformedRecord) else None
+            if error is None:
+                rec_id, code1, code2 = got
+                size = next(sizes)
+                if rec_id in seen_ids:
+                    error = MalformedRecord(line_no, f"duplicate id {rec_id!r}")
+                elif isinstance(size, InputError):
+                    error = MalformedRecord(line_no, f"{type(size).__name__}: {size}")
+            if error is not None:
+                if not lenient:
+                    raise error
                 counts["dropped_malformed"] += 1
                 continue
-            raise
-        if too_long:
-            counts["dropped_len"] += 1
-            continue
-        key = _dedup_key(code2)
-        if key in seen_keys:
-            counts["dropped_dupe"] += 1
-            continue
-        seen_keys.add(key)
-        seen_ids.add(rec_id)
-        records.append(CorpusRecord(id=rec_id, code1=code1, code2=code2))
-        counts["kept"] += 1
+            if size > max_tokens:
+                counts["dropped_len"] += 1
+                continue
+            key = _dedup_key(code2)
+            if key in seen_keys:
+                counts["dropped_dupe"] += 1
+                continue
+            seen_keys.add(key)
+            seen_ids.add(rec_id)
+            records.append(CorpusRecord(id=rec_id, code1=code1, code2=code2))
+            counts["kept"] += 1
     manifest = Manifest(max_tokens=max_tokens, counts=counts)
     return CorpusFile(records=records, manifest=manifest)
 
@@ -204,17 +257,22 @@ def precompute_styles(corpus: CorpusFile) -> CorpusFile:
     """Fill each record's style vector cache from ``code2``; idempotent.
 
     Records the analyzer cannot handle are flagged in the manifest and
-    kept, not dropped.
+    kept, not dropped. The vectors of at least ``_fork.SPLIT_MIN_TEXTS``
+    records are analyzed on the CPUs the process may use, by forked children
+    beside the caller (:func:`stylekit._fork.split_map`); records and
+    ``style_errors`` keep record order, byte-identical to a serial run.
     """
+    computed = iter(split_map(lambda text: normalize(analyze(text)),
+                              [rec.code2 for rec in corpus.records if rec.style_vec is None]))
     errors: dict[str, str] = {}
     records = []
     for rec in corpus.records:
         vec = rec.style_vec
         if vec is None:
-            try:
-                vec = normalize(analyze(rec.code2))
-            except InputError as exc:
-                errors[rec.id] = f"{type(exc).__name__}: {exc}"
+            vec = next(computed)
+            if isinstance(vec, InputError):
+                errors[rec.id] = f"{type(vec).__name__}: {vec}"
+                vec = None
         records.append(replace(rec, style_vec=vec))
     manifest = replace(deepcopy(corpus.manifest), style_errors=errors)
     return CorpusFile(records=records, manifest=manifest)

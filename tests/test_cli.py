@@ -196,6 +196,28 @@ def test_corpus_lenient_drops_a_record_the_lexer_rejects(tmp_path, capsys):
     assert json.loads(err.strip())["error"] == "MalformedRecord"
 
 
+@pytest.mark.parametrize("kind", ["symlink", "directory"])
+def test_a_file_below_a_directory_that_cannot_be_read_is_bad_input_only_when_strict(
+        tmp_path, capsys, kind):
+    from test_corpus import unreadable
+
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text(RICH)
+    unreadable(pkg, kind)
+    code, out, _ = run(capsys, "corpus", pkg, "--lenient", "--json")
+    assert code == 0
+    assert json.loads(out)["counts"] == {"input": 2, "kept": 1, "dropped_dupe": 0,
+                                         "dropped_len": 0, "dropped_malformed": 1}
+    code, out, _ = run(capsys, "pairs", pkg, "--lenient")
+    assert code == 0 and [json.loads(line)["file_id"] for line in out.splitlines()] == ["a", "a"]
+    for command in ("corpus", "pairs"):
+        code, _, err = run(capsys, command, pkg, "--json")
+        error = json.loads(err)
+        assert (code, error["error"]) == (2, "MalformedRecord")
+        assert error["message"].startswith("line 2: ") and "b.py: cannot read: " in error["message"]
+
+
 def test_corpus_non_string_record(tmp_path, capsys):
     path = tmp_path / "in.jsonl"
     path.write_text(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import errno
+import itertools
+import json
 import math
 import os
 import signal
@@ -10,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stylekit import contrastive
+from stylekit import _fork, contrastive
 from stylekit.contrastive import (
     ContrastivePair,
     EmptyHeldout,
@@ -33,7 +35,18 @@ from stylekit.contrastive import (
     recall_at_k,
     train,
 )
-from stylekit.corpus import DEFAULT_MAX_TOKENS, from_sources, token_count
+from stylekit import corpus
+from stylekit.corpus import (
+    DEFAULT_MAX_TOKENS,
+    CorpusFile,
+    MalformedRecord,
+    Manifest,
+    from_sources,
+    ingest,
+    precompute_styles,
+    token_count,
+)
+from stylekit.features import analyze, normalize
 from stylekit.lexer import InputError
 from stylekit.nn import CodeTower, EncoderModel, StyleTower, l2_normalize
 from stylekit.syntax import SourceDoc
@@ -764,8 +777,8 @@ def small_model():
 def build_on(monkeypatch, cpus):
     """Build pair inputs serially (one CPU) or split over ``cpus``, which
     the batches here fill at any host's CPU count."""
-    monkeypatch.setattr(contrastive, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(contrastive, "SPLIT_MIN_TEXTS", 8)
+    monkeypatch.setattr(_fork, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_fork, "SPLIT_MIN_TEXTS", 8)
 
 
 @pytest.fixture(params=[1, 3], ids=["serial", "split"])
@@ -927,21 +940,24 @@ def failing_call(monkeypatch, name, nth=None):
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 @pytest.mark.parametrize("nth", ["first", "last"])
 @pytest.mark.parametrize("name", ["pipe", "fork"])
-@pytest.mark.parametrize("run", ["train", "split"])
-def test_a_pipe_or_fork_that_fails_leaves_no_descriptor_open_and_no_child(monkeypatch, run,
-                                                                           name, nth):
+@pytest.mark.parametrize("run", ["train", "split", "ingest", "precompute", "pairs"])
+def test_a_pipe_or_fork_that_fails_leaves_no_descriptor_open_and_no_child(monkeypatch, tmp_path,
+                                                                           run, name, nth):
     """``os.pipe`` or ``os.fork`` raises on its first or last call: in an
     overlapped ``train`` whose inputs are built serially, all made by the
-    code tower's worker; in ``_pair_inputs`` split on 3 CPUs, by two
-    children, the first still alive when the last call fails."""
+    code tower's worker; in ``_pair_inputs`` or a corpus stage split on 3
+    CPUs, by two children, the first still alive when the last call fails."""
     monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    pairs = tiny_pairs()
     build_on(monkeypatch, 1 if run == "train" else 3)
 
     def call():
         if run == "train":
-            train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
+            train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
+        elif run == "split":
+            contrastive._pair_inputs(CodeTower(seed=1), pairs, skip=True)
         else:
-            contrastive._pair_inputs(CodeTower(seed=1), tiny_pairs(), skip=True)
+            corpus_stage(run, tmp_path)()
 
     with monkeypatch.context() as counting:
         calls = failing_call(counting, name)
@@ -990,6 +1006,186 @@ def test_train_leaves_no_reference_cycle(monkeypatch, overlap):
     gc.disable()
     try:
         train(pairs, TrainConfig(epochs=1, batch_size=4, seed=0))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- corpus stages on several CPUs ----------------------------------------------
+
+
+def stage_sources():
+    """(id, source) of 14 archetype files, with a file the lexer rejects, a
+    blank one and one of a single function among them."""
+    from archetype_corpus import make_corpus
+
+    files = [(fid, src) for fid, src, _ in make_corpus(14, seed=0)]
+    return [*files[:4], ("superscript", "y = ²\n"), *files[4:9], ("blank", " \n"),
+            ("one_def", THREE_FUNCS.split("\n\n")[0]), *files[9:]]
+
+
+def stage_jsonl(path):
+    """``stage_sources`` as JSONL records, with a line of each kind ``ingest``
+    drops among them, after the record the lexer rejects on line 5."""
+    sources = stage_sources()
+    lines = [json.dumps({"id": fid, "code1": src, "code2": src}) for fid, src in sources]
+    planted = [
+        "not json",
+        "[1, 2]",
+        json.dumps({"id": "no_code2", "code1": "x = 1\n"}),
+        json.dumps({"id": "number", "code1": 5, "code2": "x = 1\n"}),
+        json.dumps({"id": sources[0][0], "code1": "a = 1\n", "code2": "b = 2\n"}),
+        json.dumps({"code1": "c = 3\n", "code2": sources[2][1] + "  \n"}),   # a duplicate
+        json.dumps({"code1": "d = 4\n", "code2": "e = 5\n" * 200}),           # too long
+    ]
+    for k, line in enumerate(planted):
+        lines.insert(6 + 3 * k, line)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def corpus_stage(stage, tmp_path):
+    """A call of ``ingest`` (lenient), ``precompute_styles`` or ``build_pairs``
+    on the stage inputs, which are built first; its warnings are ignored."""
+    path, corp = stage_jsonl(tmp_path / "in.jsonl"), from_sources(stage_sources())
+
+    def run():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", InsufficientSnippets)
+            if stage == "ingest":
+                return ingest(path, lenient=True)
+            if stage == "precompute":
+                return precompute_styles(corp)
+            return build_pairs(corp, seed=3, max_pairs_per_file=2)
+
+    return run
+
+
+def forks_on(monkeypatch, cpus):
+    """``build_on`` ``cpus``, and the list of the ``os.fork`` calls made."""
+    build_on(monkeypatch, cpus)
+    return failing_call(monkeypatch, "fork")
+
+
+def raising_input(monkeypatch, after):
+    """Make ``ingest``'s input raise ``OSError`` after its first ``after`` lines."""
+    real = corpus._iter_input_lines
+
+    def lines(paths):
+        yield from itertools.islice(real(paths), after)
+        raise OSError(errno.EIO, "the input failed")
+
+    monkeypatch.setattr(corpus, "_iter_input_lines", lines)
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result, or the type and message of the exception it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_one_and_all_cpus_ingest_identically(monkeypatch, tmp_path):
+    """Strict and lenient, over two read-aheads, and with an input that
+    raises before and after the first bad line: the corpus, the manifest and
+    the error raised are those of a serial run."""
+    path = stage_jsonl(tmp_path / "in.jsonl")
+    monkeypatch.setattr(corpus, "_READ_AHEAD", 12)
+    got = []
+    for n in (1, 3):
+        forks = forks_on(monkeypatch, n)
+        runs = [outcome(ingest, path, lenient=True), outcome(ingest, path)]
+        for after in (4, 20):
+            with monkeypatch.context() as failing:
+                raising_input(failing, after)
+                runs += [outcome(ingest, path, lenient=True), outcome(ingest, path)]
+        got.append(runs)
+        assert no_child_left()
+        assert bool(forks) is (n > 1)
+    assert got[0] == got[1]
+    lenient, strict, *raised = got[0]
+    assert lenient.manifest.counts == {"input": 24, "kept": 16, "dropped_dupe": 1,
+                                       "dropped_len": 1, "dropped_malformed": 6}
+    assert [r.id for r in lenient.records] == [fid for fid, _ in stage_sources()
+                                               if fid != "superscript"]
+    assert strict[0] is MalformedRecord and strict[1].startswith("line 5: InvalidCharacter: ")
+    failed = (OSError, "[Errno 5] the input failed")
+    assert raised == [failed, failed, failed, strict]
+
+
+def test_ingest_reads_only_a_bounded_way_ahead(monkeypatch):
+    """A strict run over an endless input raises its first bad line's error."""
+    yielded = []
+
+    def endless(paths):
+        yield 1, "not json"
+        for line_no in itertools.count(2):
+            yielded.append(line_no)
+            yield line_no, json.dumps({"code1": "x = 1\n", "code2": f"y = {line_no}\n"})
+
+    monkeypatch.setattr(corpus, "_iter_input_lines", endless)
+    with pytest.raises(MalformedRecord, match="^line 1: bad JSON"):
+        ingest("endless")
+    assert len(yielded) < corpus._READ_AHEAD
+    assert no_child_left()
+
+
+def test_one_and_all_cpus_precompute_identically(monkeypatch):
+    """A cached vector is kept, and ``style_errors`` keep record order."""
+    records = from_sources(stage_sources()).records
+    cached = normalize(analyze(THREE_FUNCS))
+    records[1].style_vec = records[12].style_vec = cached
+    got = []
+    for n in (1, 3):
+        forks = forks_on(monkeypatch, n)
+        out = precompute_styles(CorpusFile(records=records, manifest=Manifest()))
+        got.append((out.records, list(out.manifest.style_errors.items())))
+        assert no_child_left()
+        assert bool(forks) is (n > 1)
+    assert got[0] == got[1]
+    out_records, errors = got[0]
+    assert out_records[1].style_vec == out_records[12].style_vec == cached
+    assert out_records[2].style_vec == normalize(analyze(records[2].code2))
+    assert [(fid, message.split(":")[0]) for fid, message in errors] == [
+        ("superscript", "InvalidCharacter"), ("blank", "EmptySource")]
+
+
+def test_one_and_all_cpus_build_pairs_identically(monkeypatch):
+    """The pairs, the ``seed`` draws and each ``InsufficientSnippets``
+    warning, with its text, order and place, are those of a serial run."""
+    corp = from_sources(stage_sources())
+    got = []
+    for n in (1, 3):
+        forks = forks_on(monkeypatch, n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            pairs = build_pairs(corp, seed=3, max_pairs_per_file=2)
+        got.append((pairs, [(w.category, str(w.message), w.filename) for w in caught]))
+        assert no_child_left()
+        assert bool(forks) is (n > 1)
+    assert got[0] == got[1]
+    pairs, warned = got[0]
+    assert len({p.file_id for p in pairs}) == 14
+    assert [message for _, message, _ in warned] == [
+        "file 'superscript' has 0 extractable snippet(s) (InvalidCharacter: invalid character "
+        "'²' (U+00B2) on line 1); skipped",
+        "file 'blank' has 0 extractable snippet(s); skipped",
+        "file 'one_def' has 1 extractable snippet(s); skipped"]
+    assert {filename for _, _, filename in warned} == {__file__}
+
+
+@pytest.mark.parametrize("stage", ["ingest", "precompute", "pairs"])
+def test_a_corpus_stage_leaves_no_reference_cycle(cpus, tmp_path, stage):
+    """Neither the errors kept in place nor the children's closures are
+    held by a cycle, which would keep them until the cyclic collector ran."""
+    import gc
+
+    run = corpus_stage(stage, tmp_path)
+    gc.collect()
+    gc.disable()
+    try:
+        run()
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -241,6 +241,38 @@ def test_a_source_file_that_is_not_utf8_is_malformed_and_named(tmp_path, lenient
                                     "dropped_len": 0, "dropped_malformed": 1}
 
 
+def unreadable(pkg, kind):
+    """Put a file below ``pkg`` that is named ``*.py`` and cannot be read."""
+    if kind == "symlink":
+        if not hasattr(os, "symlink"):
+            pytest.skip("needs os.symlink")
+        os.symlink(pkg / "no" / "such" / "zz.py", pkg / "b.py")
+    else:
+        (pkg / "b.py").mkdir()
+
+
+@pytest.mark.parametrize("kind", ["symlink", "directory"])
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_a_file_below_a_directory_that_cannot_be_read_is_malformed_and_named(tmp_path, lenient,
+                                                                              kind):
+    pkg = tmp_path / "pkg"
+    pkg.mkdir()
+    (pkg / "a.py").write_text("a = 1\n")
+    (pkg / "c.py").write_text("c = 3\n")
+    unreadable(pkg, kind)
+    if not lenient:
+        with pytest.raises(MalformedRecord, match=r"^line 2: .*b\.py: cannot read: "):
+            ingest(pkg)
+    else:
+        corp = ingest(pkg, lenient=True)
+        assert [r.id for r in corp.records] == ["a", "c"]
+        assert corp.manifest.counts == {"input": 3, "kept": 2, "dropped_dupe": 0,
+                                        "dropped_len": 0, "dropped_malformed": 1}
+    if kind == "symlink":   # a path the caller named is not a record
+        with pytest.raises(FileNotFoundError):
+            ingest(pkg / "b.py", lenient=lenient)
+
+
 def test_a_jsonl_record_with_empty_code_is_still_malformed(tmp_path):
     path = tmp_path / "in.jsonl"
     write_jsonl(path, [{"id": "r0", "code1": "", "code2": "x = 1"}])
