@@ -13,8 +13,6 @@ import contextlib
 import itertools
 import json
 import math
-import os
-import re
 import time
 import warnings
 from dataclasses import dataclass, fields
@@ -23,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _fork
-from ._fork import Forked, each, in_slices, split_map
+from ._fork import Forked, each, in_shared_memory, in_slices, split_map
 from .corpus import DEFAULT_MAX_TOKENS, MalformedRecord, jsonl_objects
 from .features import analyze, normalize
 from .lexer import InputError
@@ -313,19 +311,15 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
 
     The towers share nothing until InfoNCE joins them, so a step is two
     phases, the forwards and then each tower's backward and Adam step. Where
-    both towers' BLAS threads fit on the CPUs (see :func:`_overlap_towers`)
-    and ``os.fork`` exists, a forked :class:`_Worker` runs the code tower's
-    side of each phase beside the caller's style tower, and also the Adam
-    update of the style tower's ``WORKER_SHARE``. An error is then raised
-    once both sides have finished: the code tower's first, then the style
-    tower's in ``params`` order. Elsewhere the code tower's side runs first
-    on the caller's thread (:class:`_InTurn`), and its error stops the style
-    tower's from starting. Adam is elementwise per tensor, and each side's
-    operations keep their order, so every parameter, moment and loss is
-    bit-identical either way. On a 2-core Xeon, 3 desk-scale epochs took
-    2.47 s in the worker against 3.80 s in turn at one OpenBLAS thread, and
-    8.45 s against 3.16 s at the default two, whose matrix products contend
-    for the cores (medians of 4 fresh processes)."""
+    :func:`stylekit._fork.overlap_towers` allows, a forked :class:`_Worker`
+    runs the code tower's side of each phase beside the caller's style tower,
+    and also the Adam update of the style tower's ``WORKER_SHARE``. An error
+    is then raised once both sides have finished: the code tower's first,
+    then the style tower's in ``params`` order. Elsewhere the code tower's
+    side runs first on the caller's thread (:class:`_InTurn`), and its error
+    stops the style tower's from starting. Adam is elementwise per tensor,
+    and each side's operations keep their order, so every parameter, moment
+    and loss is bit-identical either way."""
     rng = np.random.default_rng(cfg.seed)
     style = StyleTower(seed=cfg.seed)
     code = CodeTower(seed=cfg.seed + 1, hash_seed=cfg.seed)
@@ -346,7 +340,7 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     # Overflow from too large an lr ends as the NonFiniteLoss check below; a
     # forked worker inherits this error state.
     with np.errstate(over="ignore", invalid="ignore"), (
-            _Worker(code, style, anchor_ids, cfg.lr) if _overlap_towers() and hasattr(os, "fork")
+            _Worker(code, style, anchor_ids, cfg.lr) if _fork.overlap_towers()
             else contextlib.nullcontext(_InTurn(code, anchor_ids, cfg.lr))) as side:
         own = {name: p for name, p in style.params.items() if name not in side.shared}
         opt_style = new_adam_state(own)
@@ -400,24 +394,6 @@ def train(pairs: list[ContrastivePair], cfg: TrainConfig,
     return model, logs
 
 
-# OpenBLAS takes its thread count from the first of these that C's atoi reads
-# as positive, else runs one thread per CPU the process may use.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-_ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
-
-
-def _overlap_towers() -> bool:
-    """Whether ``train`` runs the code tower in a worker process beside the
-    style tower: only if both towers' BLAS threads fit on the CPUs this
-    process may use. Two pools of one thread per CPU contend, and the
-    overlap then runs slower than one tower after the other."""
-    cpus = _fork.usable_cpus()
-    counts = (int(m[1]) if (m := _ATOI.match(os.environ.get(var, ""))) else 0
-              for var in _BLAS_THREAD_VARS)
-    blas = next((n for n in counts if n > 0), cpus)
-    return 2 * blas <= cpus
-
-
 class _InTurn:
     """The code tower's side of each training step, run at once on the
     caller's thread: its forward, and its backward with its Adam step.
@@ -466,12 +442,12 @@ class _Worker(Forked):
     def __init__(self, code: CodeTower, style: StyleTower, anchor_ids: list, lr: float):
         self.shared = WORKER_SHARE
         self._tensors = [(code.params, list(code.params)), (style.params, list(self.shared))]
-        views = iter(_in_shared_memory([params[name] for params, names in self._tensors
-                                        for name in names]))
+        views = iter(in_shared_memory([params[name] for params, names in self._tensors
+                                       for name in names]))
         for params, names in self._tensors:
             params.update((name, next(views)) for name in names)
         share = {name: style.params[name] for name in self.shared}
-        grads = self._grads = dict(zip(self.shared, _in_shared_memory(
+        grads = self._grads = dict(zip(self.shared, in_shared_memory(
             [np.zeros_like(p) for p in share.values()])))
         # ``start`` holds no reference to the worker: a cycle through it would
         # keep the shared memory mapped until the cyclic collector runs.
@@ -511,20 +487,6 @@ def _start_worker(code: CodeTower, anchor_ids: list, lr: float, share: dict, gra
     return lambda request: run[request[0]](request[1])
 
 
-def _in_shared_memory(arrays: list[np.ndarray]) -> list[np.ndarray]:
-    """Copies of ``arrays`` in one anonymous shared mapping, which a process
-    forked after this call shares: each side sees the other's writes."""
-    import mmap   # here, as only the worker's caller needs it
-
-    offsets = list(itertools.accumulate((-(-a.nbytes // 64) * 64 for a in arrays), initial=0))
-    buf = mmap.mmap(-1, max(offsets[-1], 1))
-    copies = [np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
-              for a, offset in zip(arrays, offsets)]
-    for copy, a in zip(copies, arrays):
-        copy[...] = a
-    return copies
-
-
 def code_inputs(code: CodeTower, texts) -> tuple[list, list[int]]:
     """The code tower's input for ``texts``: the bucket ids of each distinct
     text, lexed leniently once, and each text's index in that list. A text
@@ -554,11 +516,15 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
 
     A batch of at least ``_fork.SPLIT_MIN_TEXTS`` texts (distinct anchors
     plus positives) is built on the CPUs the process may use, by forked
-    children beside the caller (:func:`_split_inputs`); every id, row and
-    warning is byte-identical to the serial path's."""
+    children beside the caller, in slices of both (:func:`_fork.in_slices`);
+    every id, row and warning is byte-identical to the serial path's."""
     slots: dict[str, int] = {}
     slot = [slots.setdefault(p.anchor, len(slots)) for p in pairs]
-    distinct_ids, rows = _split_inputs(code, list(slots), [p.positive for p in pairs])
+    parts = in_slices(lambda anchors, positives: (code_inputs(code, anchors)[0],
+                                                  style_inputs(positives)),
+                      list(slots), [p.positive for p in pairs])
+    distinct_ids = [ids for part_ids, _ in parts for ids in part_ids]
+    rows = [row for _, part_rows in parts for row in part_rows]
     kept = []
     for i, pair in enumerate(pairs):
         for side, got in (("anchor", distinct_ids[slot[i]]), ("positive", rows[i])):
@@ -572,16 +538,6 @@ def _pair_inputs(code: CodeTower, pairs: list[ContrastivePair], skip: bool):
             kept.append(i)
     return ([pairs[i] for i in kept], distinct_ids, [slot[i] for i in kept],
             [rows[i] for i in kept])
-
-
-def _split_inputs(code: CodeTower, anchors: list[str], positives: list[str]):
-    """The code tower's ids of each of the distinct ``anchors`` and the style
-    tower's row of each of ``positives``, built by :func:`in_slices` in
-    slices of both, joined in slice order."""
-    parts = in_slices(lambda part_anchors, part_positives: (
-        code_inputs(code, part_anchors)[0], style_inputs(part_positives)), anchors, positives)
-    return ([ids for part_ids, _ in parts for ids in part_ids],
-            [row for _, part_rows in parts for row in part_rows])
 
 
 def _embed(model: EncoderModel, distinct_ids, slot, rows):

@@ -166,13 +166,6 @@ def _checked_lines(paths):
         yield None, exc
 
 
-def _read_ahead(items, size: int):
-    """``items`` in lists of up to ``size``."""
-    items = iter(items)
-    while chunk := list(itertools.islice(items, size)):
-        yield chunk
-
-
 def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
            lenient: bool = False) -> CorpusFile:
     """Read JSONL records or source files into a filtered corpus.
@@ -196,7 +189,8 @@ def ingest(paths, max_tokens: int = DEFAULT_MAX_TOKENS,
     seen_keys: set[str] = set()
     seen_ids: set[str] = set()
     counts = dict.fromkeys(_COUNTERS, 0)
-    for chunk in _read_ahead(_checked_lines(paths), _READ_AHEAD):
+    lines = _checked_lines(paths)
+    while chunk := list(itertools.islice(lines, _READ_AHEAD)):
         # a source file gives code1 == code2: count it once, code1 first
         sizes = iter(split_map(lambda texts: max(map(token_count, dict.fromkeys(texts))),
                                [got[1:] for _, got in chunk if isinstance(got, tuple)]))

@@ -302,37 +302,14 @@ def overlap(request, monkeypatch):
     """Run ``train``'s code tower in a forked worker beside the style tower,
     or the towers one after the other, whatever this host's CPUs and BLAS
     threads would select."""
-    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: request.param)
+    monkeypatch.setattr(_fork, "overlap_towers", lambda: request.param)
     return request.param
-
-
-@pytest.mark.parametrize("blas, cpus, expected", [
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-    ({}, 2, False),                              # OpenBLAS default: one per CPU
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),   # one CPU
-    ({"OPENBLAS_NUM_THREADS": "2"}, 4, True),
-    ({"OPENBLAS_NUM_THREADS": "8"}, 4, False),
-    ({"OMP_NUM_THREADS": "1"}, 2, True),
-    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "0"}, 2, False),   # unset to OpenBLAS
-    ({"OPENBLAS_NUM_THREADS": "one"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "1abc"}, 2, True),  # read as C's atoi reads it
-    ({"OPENBLAS_NUM_THREADS": "+1"}, 2, True),
-    ({"OPENBLAS_NUM_THREADS": "²"}, 2, False),    # a digit to str.isdigit, not to atoi
-])
-def test_towers_overlap_only_where_both_blas_pools_fit(monkeypatch, blas, cpus, expected):
-    for var in contrastive._BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
-    for var, value in blas.items():
-        monkeypatch.setenv(var, value)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    assert contrastive._overlap_towers() is expected
 
 
 def test_overlapped_and_in_turn_training_are_bit_identical(monkeypatch, tmp_path):
     results = []
     for overlapped in (True, False):
-        monkeypatch.setattr(contrastive, "_overlap_towers", lambda: overlapped)
+        monkeypatch.setattr(_fork, "overlap_towers", lambda: overlapped)
         path = tmp_path / f"{overlapped}.ckpt"
         with pytest.warns(UntrainedPairs):
             model, logs = train(tiny_pairs(), TrainConfig(epochs=2, batch_size=4, seed=11),
@@ -389,7 +366,7 @@ def test_train_raises_a_tower_error_after_both_sides_finish(monkeypatch, tmp_pat
             fh.write(f"{type(self).__name__}\n")
         return grads
 
-    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(_fork, "overlap_towers", lambda: True)
     monkeypatch.setattr(other, "backward", slow)
     monkeypatch.setattr(failing, "backward", broken)
     with pytest.raises(TowerFailure, match=f"^{failing.__name__} failed$"):
@@ -438,7 +415,7 @@ def interrupting_log(entry):
     ("code_tower", dict(), TowerFailure),
 ], ids=["interrupt", "diverged", "code_tower"])
 def test_no_worker_outlives_a_train_call_that_raises(monkeypatch, cause, cfg, raised):
-    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(_fork, "overlap_towers", lambda: True)
     if cause == "code_tower":
         monkeypatch.setattr(CodeTower, "backward", broken)
     log_fn = interrupting_log if cause == "interrupt" else None
@@ -459,7 +436,7 @@ def test_a_worker_that_ends_mid_step_raises_runtime_error(monkeypatch, fault, me
             fault()
         return real(self, cache, dout)
 
-    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(_fork, "overlap_towers", lambda: True)
     monkeypatch.setattr(CodeTower, "backward", backward)
     with pytest.raises(RuntimeError, match=f"^the code tower's worker {message}$"):
         train(tiny_pairs(), TrainConfig(epochs=1, batch_size=4, seed=0))
@@ -472,7 +449,7 @@ def test_the_worker_runs_no_exit_handler_and_flushes_no_buffer_of_the_callers(mo
     import io
     import sys
 
-    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(_fork, "overlap_towers", lambda: True)
     with io.TextIOWrapper(io.BufferedWriter(io.FileIO(os.dup(1), "w"))) as out:
         monkeypatch.setattr(sys, "stdout", out)
         print("once", end="")                    # buffered across the fork
@@ -517,7 +494,7 @@ def test_train_equals_a_dense_adam_reference_bit_for_bit(monkeypatch):
     cfg = TrainConfig(epochs=2, batch_size=4, seed=3)
     models = []
     for overlapped in (True, False):
-        monkeypatch.setattr(contrastive, "_overlap_towers", lambda: overlapped)
+        monkeypatch.setattr(_fork, "overlap_towers", lambda: overlapped)
         models.append(train(pairs, cfg)[0])
 
     rng = np.random.default_rng(cfg.seed)
@@ -947,7 +924,7 @@ def test_a_pipe_or_fork_that_fails_leaves_no_descriptor_open_and_no_child(monkey
     overlapped ``train`` whose inputs are built serially, all made by the
     code tower's worker; in ``_pair_inputs`` or a corpus stage split on 3
     CPUs, by two children, the first still alive when the last call fails."""
-    monkeypatch.setattr(contrastive, "_overlap_towers", lambda: True)
+    monkeypatch.setattr(_fork, "overlap_towers", lambda: True)
     pairs = tiny_pairs()
     build_on(monkeypatch, 1 if run == "train" else 3)
 
