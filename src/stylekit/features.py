@@ -107,6 +107,9 @@ NORMALIZATION_CAPS = {
     "control_structures": 20.0,
 }
 
+# Each feature's cap in registry order, None for a ratio.
+_CAPS = tuple(map(NORMALIZATION_CAPS.get, REGISTRY))
+
 SPACE_PATTERN_ROWS = 24
 SPACE_PATTERN_COLS = 64
 
@@ -308,6 +311,9 @@ def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
 # -- feature groups -----------------------------------------------------------
 
 
+_DROP_PUNCTUATION = str.maketrans("", "", string.punctuation)
+
+
 def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[float]:
     """The 14 naming features; all zeros for an empty identifier set."""
     n = len(identifiers)
@@ -322,7 +328,7 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
         NameCategory.PASCAL_CASE, NameCategory.SNAKE_CASE, NameCategory.CAMEL_CASE,
         NameCategory.UPPER_CASE, NameCategory.PRIVATE, NameCategory.DUNDER)]
     non_ws = sum(map(len, source.split()))
-    punct = sum(map(source.count, string.punctuation))
+    punct = len(source) - len(source.translate(_DROP_PUNCTUATION))
     return [
         chars / n,
         sum(1 for t in texts if not any(map(str.isupper, t))) / n,
@@ -465,13 +471,11 @@ def normalize(raw: StyleVectorRaw | StyleVector) -> StyleVector:
     """Map a raw vector into [0, 1]^34; already-normalized vectors pass through."""
     if isinstance(raw, StyleVector):
         return raw
-    out = []
-    for name, value in zip(REGISTRY, raw.values):
-        cap = NORMALIZATION_CAPS.get(name)
-        if cap is not None:
-            value = value / cap
-        out.append(min(max(value, 0.0), 1.0))
-    return StyleVector(values=tuple(out), schema=raw.schema)
+    # The clamp is ``min(max(v, 0.0), 1.0)``, -0.0 and NaN included, without two calls.
+    return StyleVector(values=tuple([
+        0.0 if (v := value if cap is None else value / cap) < 0.0 else 1.0 if v > 1.0 else v
+        for value, cap in zip(raw.values, _CAPS)
+    ]), schema=raw.schema)
 
 
 # -- serialization ------------------------------------------------------------

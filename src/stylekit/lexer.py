@@ -61,9 +61,10 @@ _CLOSERS = frozenset(")]}")
 
 # Longest match first. No punctuation token shares a prefix with an
 # operator, so this equals trying every operator before any punctuation.
-_OP_OR_PUNCT_RE = re.compile("|".join(
+# Group 1 is the token; the match goes on over the blanks after it.
+_OP_OR_PUNCT_RE = re.compile("(" + "|".join(
     re.escape(tok) for tok in sorted(OPERATORS + PUNCTS, key=len, reverse=True)
-))
+) + r")[ \t\f]*")
 _BLANKS_RE = re.compile(r"[ \t\f]*")
 # String bodies: a backslash takes the next character (a newline too) with
 # it; a one-quote body also stops at a newline, unterminated.
@@ -74,7 +75,8 @@ _STRING_BODY_RE = {
     '"""': re.compile(r'(?:[^"\\]+|\\[\s\S]?|"(?!""))*'),
 }
 
-_IDENT_RE = re.compile(r"[^\W\d]\w*", re.UNICODE)
+# A name in group 1, then the blanks after it.
+_WORD_RE = re.compile(r"([^\W\d]\w*)[ \t\f]*", re.UNICODE)
 _NUMBER_RE = re.compile(
     r"""
     0[xX][0-9a-fA-F_]+[lL]?
@@ -104,6 +106,10 @@ class TokenKind(enum.Enum):
 # A tuple, not a set: membership tests identity first and never calls the
 # Python-level ``Enum.__hash__``.
 _SYNTHETIC = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
+# The kinds the name and operator handlers emit, as module globals: an
+# attribute lookup on the enum class costs more.
+_KEYWORD, _IDENTIFIER = TokenKind.KEYWORD, TokenKind.IDENTIFIER
+_PUNCT, _OPERATOR = TokenKind.PUNCT, TokenKind.OPERATOR
 
 
 class Token(NamedTuple):
@@ -186,8 +192,10 @@ def indent_columns(ws: str) -> int:
 
 class _Scanner:
     """One pass over newline-normalized text. Each handler takes the offset
-    of a token's first character and returns the offset after it. Columns
-    are measured onward from the last measured offset of the same line."""
+    of a token's first character and returns the offset after it; the name
+    and operator handlers return past the blanks that follow their token
+    too, so most blanks take no dispatch of their own. Columns are measured
+    onward from the last measured offset of the same line."""
 
     def __init__(self, source: str, lenient: bool):
         self.src = source
@@ -293,13 +301,20 @@ class _Scanner:
         return end
 
     def _word(self, pos: int) -> int:
-        text = _IDENT_RE.match(self.src, pos).group()
-        end = pos + len(text)
+        match = _WORD_RE.match(self.src, pos)
+        text = match[1]
+        end = match.end(1)
         if self.src[end:end + 1] in ("'", '"') and text.lower() in STRING_PREFIXES:
             return self._string(end, pos)
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
-        self._emit(kind, text, pos)
-        return end
+        if pos <= self.next_tab:  # ``_col``'s path for a line without tabs, inline
+            col = self.mark_col + pos - self.mark
+            self.mark, self.mark_col = pos, col
+        else:
+            col = self._col(pos)
+        self.tokens.append(_new(Token, (
+            _KEYWORD if text in KEYWORDS else _IDENTIFIER, text, self.line, col)))
+        self.line_has_token = True
+        return match.end()
 
     def _number(self, pos: int) -> int:
         match = _NUMBER_RE.match(self.src, pos)
@@ -315,20 +330,27 @@ class _Scanner:
             # Unknown characters are tolerated, never an error.
             self._emit(TokenKind.PUNCT, self.src[pos], pos)
             return pos + 1
-        text = match.group()
+        text = match[1]
         if text in _OPENERS:
             self.depth += 1
         elif text in _CLOSERS:
             self.depth = max(0, self.depth - 1)
-        self._emit(TokenKind.PUNCT if text in _PUNCT_SET else TokenKind.OPERATOR, text, pos)
-        return pos + len(text)
+        if pos <= self.next_tab:  # ``_col``'s path for a line without tabs, inline
+            col = self.mark_col + pos - self.mark
+            self.mark, self.mark_col = pos, col
+        else:
+            col = self._col(pos)
+        self.tokens.append(_new(Token, (
+            _PUNCT if text in _PUNCT_SET else _OPERATOR, text, self.line, col)))
+        self.line_has_token = True
+        return match.end()
 
     def _other(self, pos: int) -> int:
         """The general rules, for a dot and for characters outside ASCII."""
         ch = self.src[pos]
         if ch.isdigit() or (ch == "." and self.src[pos + 1:pos + 2].isdigit()):
             return self._number(pos)
-        if _IDENT_RE.match(self.src, pos):
+        if _WORD_RE.match(self.src, pos):
             return self._word(pos)
         return self._op_or_punct(pos)
 

@@ -4,7 +4,9 @@ Both BLEU and ROUGE tokenize through the code lexer (comments kept,
 synthetic whitespace tokens dropped), so the scores are insensitive to
 whitespace layout; layout fidelity is what CSS and the style loss are
 for. ``score`` reads both from one :class:`~stylekit.syntax.SourceDoc` per side
-and counts each side's 1..4-grams once for BLEU, ROUGE-1 and ROUGE-2.
+and counts each order's clipped n-gram overlap once, for orders 1..4; BLEU
+and ROUGE-1/2 share those counts, and take their n-gram totals from the
+token counts.
 
 ROUGE-L's longest common subsequence is the bit-vector algorithm of
 L. Allison and T. I. Dix, "A bit-string longest-common-subsequence
@@ -19,7 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from itertools import repeat
 
 from .features import (NAMING_SLICE, SchemaMismatch, StyleVector, analyze,
                        analyze_doc, normalize)
@@ -56,7 +59,10 @@ class MetricReport:
     style_loss: float
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """``dataclasses.asdict`` of the report, without its deep copy: the
+        fields in declaration order, each ``RougeScore`` as a dict of its own."""
+        return {name: vars(value).copy() if isinstance(value, RougeScore) else value
+                for name, value in vars(self).items()}
 
 
 @dataclass(frozen=True)
@@ -108,9 +114,13 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(zip(*(tokens[i:] for i in range(n))))
 
 
-def _orders(tokens: list[str]) -> list[Counter]:
-    """The 1..4-gram counters of one token stream, order n at index n - 1."""
-    return [_ngrams(tokens, n) for n in range(1, 5)]
+def _counts(cand: list[str], ref: list[str], n: int) -> tuple[int, int, int]:
+    """Order n's clipped overlap, where each candidate n-gram counts at most
+    as often as the reference holds it, then each side's n-gram total. BLEU
+    and ROUGE-n both read these three numbers."""
+    cand_ngrams, ref_ngrams = _ngrams(cand, n), _ngrams(ref, n)
+    overlap = sum(map(min, cand_ngrams.values(), map(ref_ngrams.get, cand_ngrams, repeat(0))))
+    return overlap, max(len(cand) - n + 1, 0), max(len(ref) - n + 1, 0)
 
 
 def bleu4(candidate: str, reference: str) -> float:
@@ -121,19 +131,17 @@ def bleu4(candidate: str, reference: str) -> float:
     zero, so token-disjoint pairs score 0.0.
     """
     cand, ref = metric_tokens(candidate), metric_tokens(reference)
-    return _bleu4(cand, ref, _orders(cand), _orders(ref))
+    return _bleu4(cand, ref, [_counts(cand, ref, n) for n in range(1, 5)])
 
 
-def _bleu4(cand: list[str], ref: list[str],
-           cand_orders: list[Counter], ref_orders: list[Counter]) -> float:
+def _bleu4(cand: list[str], ref: list[str], counts: list[tuple[int, int, int]]) -> float:
+    """BLEU-4 from the ``_counts`` of orders 1..4, order n at index n - 1."""
     if not cand or not ref:
         raise EmptyInput("bleu4 needs non-empty token streams")
     log_sum = 0.0
-    for n, cand_ngrams, ref_ngrams in zip(range(1, 5), cand_orders, ref_orders):
-        total = sum(cand_ngrams.values())
+    for n, (clipped, total, _) in zip(range(1, 5), counts):
         if total == 0:
             return 0.0  # candidate shorter than n tokens
-        clipped = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
         if clipped == 0:
             if n == 1:
                 return 0.0
@@ -191,12 +199,7 @@ def rouge(candidate: str, reference: str, variant: str) -> RougeScore:
     n = {"R1": 1, "R2": 2}.get(variant)
     if n is None:
         raise ValueError(f"unknown rouge variant {variant!r}")
-    return _rouge_n(_ngrams(cand, n), _ngrams(ref, n))
-
-
-def _rouge_n(cand_ngrams: Counter, ref_ngrams: Counter) -> RougeScore:
-    overlap = sum(min(c, ref_ngrams[g]) for g, c in cand_ngrams.items())
-    return _prf(overlap, sum(cand_ngrams.values()), sum(ref_ngrams.values()))
+    return _prf(*_counts(cand, ref, n))
 
 
 def _rouge_l(cand: list[str], ref: list[str]) -> RougeScore:
@@ -210,12 +213,12 @@ def score(candidate: str, reference: str) -> MetricReport:
     target = normalize(analyze_doc(ref))
     cand = SourceDoc.of(candidate)
     cand_vec = normalize(analyze_doc(cand))
-    cand_orders, ref_orders = _orders(cand.texts), _orders(ref.texts)
+    counts = [_counts(cand.texts, ref.texts, n) for n in range(1, 5)]
     return MetricReport(
         css=css(cand_vec, target),
-        bleu4=_bleu4(cand.texts, ref.texts, cand_orders, ref_orders),
-        rouge1=_rouge_n(cand_orders[0], ref_orders[0]),
-        rouge2=_rouge_n(cand_orders[1], ref_orders[1]),
+        bleu4=_bleu4(cand.texts, ref.texts, counts),
+        rouge1=_prf(*counts[0]),
+        rouge2=_prf(*counts[1]),
         rougeL=_rouge_l(cand.texts, ref.texts),
         style_loss=_style_loss(cand_vec, target),
     )

@@ -75,6 +75,17 @@ def test_prefixed_strings():
         assert toks[0].text == src
 
 
+@pytest.mark.parametrize("src, expected", [
+    ('rb "x"', [(TokenKind.IDENTIFIER, "rb", 0), (TokenKind.STRING, '"x"', 3)]),
+    ("rb\t'x'", [(TokenKind.IDENTIFIER, "rb", 0), (TokenKind.STRING, "'x'", 4)]),
+    ("x'a'", [(TokenKind.IDENTIFIER, "x", 0), (TokenKind.STRING, "'a'", 1)]),
+])
+def test_a_name_before_a_string_is_no_prefix(src, expected):
+    """Only a prefix right before its quote opens a string: after blanks, or
+    when the name is no prefix, the name and the string are two tokens."""
+    assert [(t.kind, t.text, t.col) for t in lex(src) if not t.is_synthetic()] == expected
+
+
 def test_unterminated_string_raises_with_line():
     with pytest.raises(UnterminatedString) as exc:
         lex('a = 1\nb = "oops')
@@ -253,6 +264,14 @@ def test_form_feed_is_whitespace_that_restarts_the_column():
 ])
 def test_form_feed_restarts_the_column_on_every_physical_line(src, line, col):
     assert [(t.line, t.col) for t in lex(src) if t.text == "+"] == [(line, col)]
+
+
+def test_blanks_after_names_and_operators_count_form_feeds_as_one_column():
+    # "a" at 0; " \t" reach the stop at 4 and "\x0c" takes one column, so "="
+    # sits at 5; " \x0c" reach 8 and "\t" the stop at 12.
+    toks = lex("a \t\x0c= \x0c\tb")
+    assert [(t.text, t.col) for t in toks if not t.is_synthetic()] == [
+        ("a", 0), ("=", 5), ("b", 12)]
 
 
 def test_leading_bom_is_dropped():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import sysconfig
 from collections import Counter
@@ -8,17 +9,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from stylekit.features import (
     NAMING_SLICE,
+    NORMALIZATION_CAPS,
     REGISTRY,
     SchemaMismatch,
     StyleVector,
+    StyleVectorRaw,
     analyze,
     normalize,
 )
+from stylekit.lexer import InputError
 from stylekit.metrics import (
     EmptyInput,
     LossConfig,
@@ -36,6 +40,7 @@ from stylekit.metrics import (
 )
 
 from archetype_corpus import make_corpus
+from text_strategies import source_texts
 
 # -- independent oracles -------------------------------------------------------
 
@@ -144,6 +149,18 @@ def score_per_metric(candidate: str, reference: str) -> MetricReport:
         rougeL=prf(lcs_length_dp(cand, ref), len(cand), len(ref)),
         style_loss=style_loss(candidate, target),
     )
+
+
+def normalize_per_feature(raw: StyleVectorRaw) -> StyleVector:
+    """``normalize`` as it was before it went table-driven: a cap lookup by
+    name, then ``min`` and ``max``, per feature."""
+    out = []
+    for name, value in zip(REGISTRY, raw.values):
+        cap = NORMALIZATION_CAPS.get(name)
+        if cap is not None:
+            value = value / cap
+        out.append(min(max(value, 0.0), 1.0))
+    return StyleVector(values=tuple(out), schema=raw.schema)
 
 
 def vec(values) -> StyleVector:
@@ -420,3 +437,71 @@ def test_score_equals_the_per_metric_report_on_archetype_pairs():
     files = [source for _, source, _ in make_corpus(n_files=60, seed=4)]
     for cand, ref in zip(files[::2], files[1::2]):
         assert score(cand, ref) == score_per_metric(cand, ref)
+
+
+# Sides of 1 to 3 scored tokens, where some higher-order n-gram totals are 0,
+# and token-disjoint sides: names and "+" on one, numbers and "-" on the other.
+_FEW_TOKENS = st.lists(st.sampled_from(("a", "b", "1", "+", "(", ")", "'s'")),
+                       min_size=1, max_size=3).map(" ".join)
+_NAMES = st.lists(st.sampled_from(("a", "b", "c", "+")), min_size=1, max_size=12).map(" ".join)
+_NUMBERS = st.lists(st.sampled_from(("1", "2", "3", "-")), min_size=1, max_size=12).map(" ".join)
+
+
+def _scored(text: str) -> bool:
+    """Whether ``score`` takes the text: it analyzes strictly and holds a
+    scored token."""
+    try:
+        analyze(text)
+    except InputError:
+        return False
+    return bool(metric_tokens(text))
+
+
+@given(st.one_of(
+    st.tuples(source_texts(), source_texts()),
+    st.tuples(_FEW_TOKENS, _FEW_TOKENS),
+    st.tuples(_FEW_TOKENS, source_texts()),
+    st.tuples(source_texts(), _FEW_TOKENS),
+    st.tuples(_NAMES, _NUMBERS),
+    st.one_of(source_texts(), _FEW_TOKENS).map(lambda text: (text, text)),
+))
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@example(("a", "a b c d"))          # no 2-, 3- or 4-grams in the candidate
+@example(("a b c d", "a b"))        # nor 3- or 4-grams in the reference
+@example(("a + b", "1 - 2"))        # token-disjoint
+@example(("x = f(y)\n", "x = f(y)\n"))
+def test_score_equals_the_per_metric_report_on_generated_pairs(pair):
+    cand, ref = pair
+    assume(_scored(cand) and _scored(ref))
+    report = score(cand, ref)
+    assert repr(report) == repr(score_per_metric(cand, ref))
+    assert bleu4(cand, ref) == report.bleu4
+    assert rouge(cand, ref, "R1") == report.rouge1
+    assert rouge(cand, ref, "R2") == report.rouge2
+    assert rouge(cand, ref, "RL") == report.rougeL
+    d = report.as_dict()
+    assert d == dataclasses.asdict(report)
+    assert list(d) == list(dataclasses.asdict(report))
+    assert list(d["rouge1"]) == ["precision", "recall", "f1"]
+    d["rouge1"]["f1"] = -1.0  # a fresh dict, as ``asdict`` gives
+    assert report.rouge1.f1 != -1.0
+
+
+# Each feature's cap, a value above it, a negative value, -0.0 and 0.0, the
+# edges 1.0 and just past it, infinities and NaN.
+_RAW_VALUES = st.one_of(
+    st.sampled_from((-0.0, 0.0, 1.0, 1.0000000000000002, -1e-300, 5e-324,
+                     math.inf, -math.inf, math.nan, *NORMALIZATION_CAPS.values())),
+    st.floats(-50.0, 2_000.0),
+    st.floats(),
+)
+
+
+@given(st.lists(_RAW_VALUES, min_size=len(REGISTRY), max_size=len(REGISTRY)))
+@settings(max_examples=300, deadline=None)
+@example([-0.0] * len(REGISTRY))
+@example([-1.0] * len(REGISTRY))
+@example([2_000.0] * len(REGISTRY))
+def test_normalize_equals_the_per_feature_clamp_bit_for_bit(values):
+    raw = StyleVectorRaw(values=tuple(values))
+    assert repr(normalize(raw)) == repr(normalize_per_feature(raw))

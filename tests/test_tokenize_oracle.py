@@ -149,6 +149,20 @@ def test_fragment_texts_match_tokenize(source):
     assert lexed(source) == oracle(source)
 
 
+@pytest.mark.parametrize("source", [
+    "a  =\tb \t+  c\n",
+    "x = f( y ,\t\tz )  *\t 2\n",
+    "if a  and\t\tb :\n\tc =  d\n",
+    "x =\x0c y\x0c \t+ z\n",
+    "x = (a\t+\x0c\x0c b) . c\n",
+])
+def test_blank_runs_after_names_and_operators_match_tokenize(source):
+    """Runs of spaces, tabs and form feeds in the middle of a line, after a
+    name or an operator: the handlers that take them keep the columns."""
+    assert compiles(source)
+    assert lexed(source) == oracle(source)
+
+
 @pytest.mark.parametrize("source, tokenize_types, lex_kinds", [
     # A comment-only line outside brackets ends with a Newline, not an NL.
     ("# c\nx\n", ["COMMENT", "NL", "NAME", "NEWLINE"],
