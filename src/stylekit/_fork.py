@@ -1,7 +1,8 @@
 """A forked process that answers requests in order: stylekit's one fork
-protocol, which trains the code tower beside the style tower
-(:func:`overlap_towers`) and builds the per-record work of a batch on several
-CPUs (:func:`in_slices`). Whether stylekit forks, and onto how many CPUs, is
+protocol, which runs the code tower beside the style tower where
+:func:`overlap_towers` allows, to train and to embed held-out pairs
+(:func:`beside`), and builds the per-record work of a batch on several CPUs
+(:func:`in_slices`). Whether stylekit forks, and onto how many CPUs, is
 decided here alone (:func:`usable_cpus`)."""
 
 from __future__ import annotations
@@ -25,6 +26,12 @@ from .lexer import InputError
 # 48 27.8 vs 25.3, 60 32.6 vs 29.5, 96 48.1 vs 38.5. The split breaks even
 # near 36 texts; a larger process copies more page tables when it forks.
 SPLIT_MIN_TEXTS = 64
+# Rows a batch needs before beside() forks: a fork, its reply and its reap
+# cost about 9 ms, and the towers share the cores' caches. Medians of 31
+# alternating held-out eval_retrieval calls (default-size encoder), rows:
+# _embed's ms in turn vs beside a child: 96 10.3 vs 11.5, 128 11.9 vs 13.4,
+# 192 22.4 vs 20.8, 256 22.0 vs 20.2, 384 35.1 vs 31.3, 1000 77.7 vs 55.6.
+BESIDE_MIN_ROWS = 192
 
 
 class Forked:
@@ -184,18 +191,36 @@ _ATOI = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
 
 
 def overlap_towers() -> bool:
-    """Whether ``contrastive.train`` forks a worker to run the code tower
-    beside the style tower: only if both towers' BLAS threads fit on the
+    """Whether the code tower runs in a forked process beside the style
+    tower, in ``contrastive.train``'s worker and in retrieval's embedding
+    (:func:`beside`): only if both towers' BLAS threads fit on the
     :func:`usable_cpus`. Two pools of one thread per CPU contend, and the
     overlap then runs slower than one tower after the other: on a 2-core
     Xeon, 3 desk-scale epochs took 2.47 s in the worker against 3.80 s in
     turn at one OpenBLAS thread, and 8.45 s against 3.16 s at the default
-    two (medians of 4 fresh processes)."""
+    two (medians of 4 fresh processes). At one thread, 1000 held-out pairs
+    embed in 55.6 ms beside a child against 77.7 ms in turn."""
     cpus = usable_cpus()
     counts = (int(m[1]) if (m := _ATOI.match(os.environ.get(var, ""))) else 0
               for var in _BLAS_THREAD_VARS)
     blas = next((n for n in counts if n > 0), cpus)
     return 2 * blas <= cpus
+
+
+def beside(first: Callable, second: Callable, items: int):
+    """``(first(), second())``, with ``first`` run by a forked :class:`Forked`
+    child while the caller runs ``second``, where :func:`overlap_towers`
+    allows and ``items`` is at least ``BESIDE_MIN_ROWS``; elsewhere in turn,
+    ``first`` first. If both raise, ``first``'s error is raised."""
+    if items < BESIDE_MIN_ROWS or not overlap_towers():
+        return first(), second()
+    with Forked("the child beside the caller", lambda: lambda _: first()) as child:
+        child.send(None, last=True)
+        try:
+            got = second()
+        finally:
+            first_got = child.reply()
+    return first_got, got
 
 
 def in_shared_memory(arrays: list[np.ndarray]) -> list[np.ndarray]:

@@ -544,11 +544,15 @@ def _embed(model: EncoderModel, distinct_ids, slot, rows):
     """L2-normalized code embeddings of the anchors at ``slot`` and style
     embeddings of ``rows``. Each distinct anchor runs through the code tower
     once, with a one-row ``forward``'s numerics (:meth:`CodeTower.embed_rows`),
-    so its row does not depend on the anchors read with it."""
+    so its row does not depend on the anchors read with it, and is normalized
+    before it is gathered. Where :func:`stylekit._fork.beside` allows, a
+    forked child runs the code tower while the caller runs the style tower,
+    with the same operations on the same arrays, so the bytes are the same."""
     used, where = np.unique(slot, return_inverse=True)
-    anchors = model.code.embed_rows([distinct_ids[j] for j in used])[where]
-    styles = model.style.forward(rows)
-    return l2_normalize(anchors.astype(np.float64)), l2_normalize(styles.astype(np.float64))
+    anchors, styles = _fork.beside(
+        lambda: model.code.embed_rows([distinct_ids[j] for j in used]),
+        lambda: l2_normalize(model.style.forward(rows).astype(np.float64)), len(slot))
+    return l2_normalize(anchors.astype(np.float64))[where], styles
 
 
 def embed_pairs(model: EncoderModel, pairs: list[ContrastivePair]):

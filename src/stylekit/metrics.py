@@ -22,7 +22,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import repeat
+from operator import add
 
 from .features import (NAMING_SLICE, SchemaMismatch, StyleVector, analyze,
                        analyze_doc, normalize)
@@ -82,7 +84,7 @@ def css(a: StyleVector, b: StyleVector) -> float:
     diffs = [
         abs(x - y) for x, y in zip(a.values[NAMING_SLICE], b.values[NAMING_SLICE])
     ]
-    return 1.0 - sum(diffs) / len(diffs)
+    return 1.0 - _sum_left(diffs) / len(diffs)
 
 
 def style_loss(candidate_source: str, target: StyleVector) -> float:
@@ -94,7 +96,13 @@ def style_loss(candidate_source: str, target: StyleVector) -> float:
 def _style_loss(vec: StyleVector, target: StyleVector) -> float:
     if vec.schema != target.schema:
         raise SchemaMismatch(f"{vec.schema!r} vs {target.schema!r}")
-    return sum((x - y) ** 2 for x, y in zip(vec.values, target.values)) / len(vec.values)
+    return _sum_left((x - y) ** 2 for x, y in zip(vec.values, target.values)) / len(vec.values)
+
+
+def _sum_left(floats) -> float:
+    """``sum(floats)`` as Python 3.11 adds it, left to right, on every
+    version: from 3.12 the built-in ``sum`` compensates float rounding."""
+    return reduce(add, floats, 0.0)
 
 
 def total_loss(ce: float, style: float, cfg: LossConfig = LossConfig()) -> float:

@@ -344,7 +344,7 @@ class TowerFailure(RuntimeError):
     pass
 
 
-def broken(self, cache, dout):
+def broken(self, *args):
     raise TowerFailure(f"{type(self).__name__} failed")
 
 
@@ -824,6 +824,62 @@ def test_split_and_serial_retrieval_embedding_and_training_are_identical(monkeyp
                         path.read_bytes()))
         assert no_child_left()
     assert results[0] == results[1]
+
+
+def embedded_in_one_pass(model, pairs):
+    """The embeddings of ``pairs`` with each anchor's code-tower row gathered
+    before it is normalized, as one process computes them in turn."""
+    _, ids, slot, rows = contrastive._pair_inputs(model.code, pairs, skip=False)
+    anchors = model.code.embed_rows([ids[j] for j in slot])
+    return (l2_normalize(anchors.astype(np.float64)),
+            l2_normalize(model.style.forward(rows).astype(np.float64)))
+
+
+def test_retrieval_embedding_beside_a_child_and_in_turn_is_identical(monkeypatch, tmp_path):
+    """The code tower embeds the anchors in a forked child beside the
+    caller's style tower only where ``overlap_towers`` allows and the batch
+    has ``BESIDE_MIN_ROWS`` rows; else the caller runs both, as on one CPU.
+    Recall and embedding bytes are the same every way. The pids the code
+    tower ran in go to a file, which the child's writes reach."""
+    model, batch = EncoderModel(style=StyleTower(seed=0), code=CodeTower(seed=1)), split_batch()
+    ran_in, original = tmp_path / "pids", CodeTower.embed_rows
+
+    def recorded(self, ids_batch):
+        with ran_in.open("a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return original(self, ids_batch)
+
+    build_on(monkeypatch, 1)
+    monkeypatch.setattr(CodeTower, "embed_rows", recorded)
+    expected = embedded_in_one_pass(model, usable(batch))
+    one_cpu = _fork.overlap_towers
+    results = {}
+    for name, overlap, min_rows in [("beside", lambda: True, 2), ("in_turn", lambda: False, 2),
+                                    ("below", lambda: True, len(batch) + 1),
+                                    ("one_cpu", one_cpu, 2)]:
+        monkeypatch.setattr(_fork, "overlap_towers", overlap)
+        monkeypatch.setattr(_fork, "BESIDE_MIN_ROWS", min_rows)
+        ran_in.write_text("")
+        with pytest.warns(SkippedPair):
+            recall = eval_retrieval(model, batch, 3)
+        embedded = embed_pairs(model, usable(batch))
+        assert no_child_left()
+        pids = set(ran_in.read_text().split())   # a child for each of the 2 calls
+        in_caller = str(os.getpid()) in pids
+        assert in_caller is (name != "beside") and (len(pids) == 1) is in_caller
+        results[name] = (recall, *(x.tobytes() for x in embedded))
+    assert results["beside"] == results["in_turn"] == results["below"] == results["one_cpu"]
+    assert results["beside"][1:] == tuple(x.tobytes() for x in expected)
+
+
+def test_retrieval_embedding_raises_the_code_towers_error_when_both_towers_fail(monkeypatch,
+                                                                                overlap):
+    monkeypatch.setattr(_fork, "BESIDE_MIN_ROWS", 2)
+    monkeypatch.setattr(CodeTower, "embed_rows", broken)
+    monkeypatch.setattr(StyleTower, "forward", broken)
+    with pytest.raises(TowerFailure, match="^CodeTower failed$"):
+        eval_retrieval(small_model(), tiny_pairs(), 3)
+    assert no_child_left()
 
 
 def test_a_childs_bug_is_raised_in_the_caller_and_the_cli_exits_3(monkeypatch, tmp_path, capsys):

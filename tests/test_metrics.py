@@ -29,6 +29,7 @@ from stylekit.metrics import (
     MetricReport,
     NonFiniteInput,
     RougeScore,
+    _style_loss,
     bleu4,
     css,
     lcs_length,
@@ -212,6 +213,19 @@ def test_css_schema_mismatch():
     b = StyleVector(values=a.values, schema="s2c-style-v0")
     with pytest.raises(SchemaMismatch):
         css(a, b)
+
+
+def test_css_and_style_loss_add_left_to_right_on_every_python():
+    """Ten terms of 1, then terms too small to move 10.0 one at a time, but
+    a unit in its last place or two all together. Added left to right, as
+    Python 3.11's ``sum`` adds them, each vanishes; from 3.12 the built-in
+    ``sum`` compensates, and both results would move in their last bits."""
+    def padded(values):
+        return vec(values + [0.0] * (len(REGISTRY) - len(values)))
+
+    zero = padded([])
+    assert repr(css(padded([1.0] * 10 + [2.0 ** -51] * 4), zero)) == repr(1.0 - 10.0 / 14)
+    assert repr(_style_loss(padded([1.0] * 10 + [2.0 ** -26] * 16), zero)) == repr(10.0 / 34)
 
 
 # -- style loss -----------------------------------------------------------------
