@@ -67,8 +67,8 @@ from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
 
-from .lexer import (TAB_WIDTH, InputError, Token, TokenKind, bracket_depths,
-                    normalize_newlines, split_lines)
+from .lexer import (_IDENTIFIER, _KEYWORD, _OPERATOR, _PUNCT, TAB_WIDTH, InputError, Token,
+                    bracket_depths, normalize_newlines, split_lines)
 from .syntax import ExceptKind, FunctionInfo, SourceDoc, Stmt, _pseudo_function
 
 SCHEMA = "s2c-style-v1"
@@ -203,9 +203,9 @@ def _adjacent_ok(tokens: list[Token], i: int) -> bool:
     """Reject attribute/subscript/call positions around ``tokens[i]``."""
     prev = tokens[i - 1] if i > 0 else None
     nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-    if prev is not None and prev.kind is TokenKind.PUNCT and prev.text == ".":
+    if prev is not None and prev.kind is _PUNCT and prev.text == ".":
         return False
-    if nxt is not None and nxt.kind is TokenKind.PUNCT and nxt.text in (".", "[", "("):
+    if nxt is not None and nxt.kind is _PUNCT and nxt.text in (".", "[", "("):
         return False
     return True
 
@@ -221,7 +221,7 @@ def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
     # walrus targets at any depth
     if ":=" in texts:
         for i, tok in enumerate(toks[:-1]):
-            if tok.kind is TokenKind.IDENTIFIER and texts[i + 1] == ":=":
+            if tok.kind is _IDENTIFIER and texts[i + 1] == ":=":
                 names.append(tok.text)
 
     # ``as`` targets (imports, with, except)
@@ -233,30 +233,30 @@ def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
             j = i + 1
             while j < len(toks):
                 t = toks[j]
-                if t.kind is TokenKind.IDENTIFIER and _adjacent_ok(toks, j):
+                if t.kind is _IDENTIFIER and _adjacent_ok(toks, j):
                     names.append(t.text)
-                elif t.kind is TokenKind.KEYWORD or (
-                    t.kind is TokenKind.PUNCT and t.text == ":" and depths[j] == 0
+                elif t.kind is _KEYWORD or (
+                    t.kind is _PUNCT and t.text == ":" and depths[j] == 0
                 ):
                     break
                 j += 1
 
     first = toks[0]
-    if first.kind is TokenKind.KEYWORD:
+    if first.kind is _KEYWORD:
         if first.text == "for" or (first.text == "async" and len(toks) > 1
                                    and toks[1].text == "for"):
             start = 1 if first.text == "for" else 2
             for j in range(start, len(toks)):
                 t = toks[j]
-                if t.kind is TokenKind.KEYWORD and t.text == "in":
+                if t.kind is _KEYWORD and t.text == "in":
                     break
-                if t.kind is TokenKind.IDENTIFIER and _adjacent_ok(toks, j):
+                if t.kind is _IDENTIFIER and _adjacent_ok(toks, j):
                     names.append(t.text)
         return names
 
     # augmented assignment target
-    if (len(toks) >= 2 and first.kind is TokenKind.IDENTIFIER
-            and toks[1].kind is TokenKind.OPERATOR
+    if (len(toks) >= 2 and first.kind is _IDENTIFIER
+            and toks[1].kind is _OPERATOR
             and toks[1].text.endswith("=")
             and toks[1].text not in ("==", "!=", "<=", ">=")
             and len(toks[1].text) > 1):
@@ -281,7 +281,7 @@ def _binding_names_in_stmt(stmt: Stmt) -> list[str]:
         stop = last_eq if first_colon is None else min(last_eq, first_colon)
         for j in range(stop):
             t = toks[j]
-            if (depths[j] == 0 and t.kind is TokenKind.IDENTIFIER
+            if (depths[j] == 0 and t.kind is _IDENTIFIER
                     and _adjacent_ok(toks, j)):
                 names.append(t.text)
     return names
@@ -301,7 +301,7 @@ def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
             continue
         toks = stmt.tokens
         i = 1 if toks[0].text in ("def", "class") else 2
-        if i < len(toks) and toks[i].kind is TokenKind.IDENTIFIER:
+        if i < len(toks) and toks[i].kind is _IDENTIFIER:
             names.append(toks[i].text)
         if n in defs:  # a header that lenient parsing skips has no record
             names.extend(p.name for p in defs[n].params)

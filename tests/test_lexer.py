@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stylekit import features, lexer, metrics, syntax
 from stylekit.lexer import (
     InvalidCharacter,
     Token,
@@ -338,3 +342,33 @@ def test_token_value_semantics():
     with pytest.raises(AttributeError):
         tok.text = "y"
     assert tok.is_synthetic() is False and lex("x\n")[-1].is_synthetic() is True
+
+
+def kind_reads_in_functions(module) -> list[str]:
+    """``module.function:line`` of each ``TokenKind.<NAME>`` read in a function
+    or lambda body; reads at module or class level are not listed."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    where = {}
+    for fn in ast.walk(tree):  # outer before inner, so a nested function names its own reads
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for stmt in fn.body if isinstance(fn.body, list) else [fn.body]:
+                for node in ast.walk(stmt):
+                    if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                            and isinstance(node.value, ast.Name) and node.value.id == "TokenKind"):
+                        where[node.lineno, node.col_offset] = getattr(fn, "name", "<lambda>")
+    short = module.__name__.rpartition(".")[2]
+    return [f"{short}.{name}:{line}" for (line, _), name in sorted(where.items())]
+
+
+def test_analysis_code_reads_token_kinds_from_module_globals():
+    # On Python 3.10 and 3.11 each ``TokenKind.<NAME>`` read goes through
+    # ``EnumType.__getattr__``, many times slower than a global, and these
+    # modules run their reads once per token or statement.
+    assert [read for module in (lexer, syntax, features, metrics)
+            for read in kind_reads_in_functions(module)] == []
+    for kind in TokenKind:
+        alias = "_" + kind.name
+        assert getattr(lexer, alias) is kind
+        for module in (syntax, features):
+            assert getattr(module, alias, kind) is kind
+    assert lexer._SYNTHETIC == (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT)
