@@ -16,10 +16,10 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import checkpoint as ckpt
-from . import contrastive, corpus as corpus_mod, features, metrics
+# numpy and the modules that need it load inside the commands that use them
+# (pairs, train, embed, eval-retrieval, corpus), so analyze, css, diff and score
+# start without them and run where numpy is not installed.
+from . import features, metrics
 from .lexer import InputError
 
 EXIT_OK = 0
@@ -245,11 +245,15 @@ def _cmd_score(args) -> int:
 
 
 def _load_corpus_input(path: str, max_tokens: int | None, lenient: bool):
+    from . import corpus as corpus_mod
+
     cap = {} if max_tokens is None else {"max_tokens": max_tokens}
     return corpus_mod.ingest(path, lenient=lenient, **cap)
 
 
 def _cmd_pairs(args) -> int:
+    from . import contrastive
+
     corp = _load_corpus_input(args.input, args.max_tokens, bool(args.lenient))
     pairs = contrastive.build_pairs(
         corp, seed=args.seed or 0, max_pairs_per_file=args.max_per_file
@@ -267,6 +271,8 @@ def _cmd_pairs(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    from . import contrastive
+
     pairs = contrastive.pairs_from_jsonl(args.pairs)
     given = {"epochs": args.epochs, "batch_size": args.batch, "temperature": args.temp,
              "lr": args.lr, "seed": args.seed}
@@ -292,6 +298,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_embed(args) -> int:
+    import numpy as np
+
+    from . import checkpoint as ckpt, contrastive
+
     model = ckpt.load(args.ckpt)
     texts = [_read(args.file)]
     if args.tower == "style":
@@ -309,6 +319,8 @@ def _cmd_embed(args) -> int:
 
 
 def _cmd_eval_retrieval(args) -> int:
+    from . import checkpoint as ckpt, contrastive
+
     model = ckpt.load(args.ckpt)
     pairs = contrastive.pairs_from_jsonl(args.pairs)
     k = 1 if args.k is None else args.k
@@ -319,6 +331,8 @@ def _cmd_eval_retrieval(args) -> int:
 
 
 def _parse_split_arg(arg: str) -> dict[str, float]:
+    from . import corpus as corpus_mod
+
     ratios = {}
     for part in arg.split(","):
         if not part.strip():
@@ -332,6 +346,8 @@ def _parse_split_arg(arg: str) -> dict[str, float]:
 
 
 def _cmd_corpus(args) -> int:
+    from . import corpus as corpus_mod
+
     corp = _load_corpus_input(args.input, args.max_tokens, bool(args.lenient))
     if args.split:
         corp = corpus_mod.split(corp, _parse_split_arg(args.split), args.seed or 0)

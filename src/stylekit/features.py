@@ -59,10 +59,12 @@ v2 candidates, defects whose fix changes ``s2c-style-v1`` and the goldens:
 from __future__ import annotations
 
 import enum
+import gc
 import io
 import json
 import re
 import string
+import threading
 from collections import Counter
 from dataclasses import dataclass
 from statistics import fmean
@@ -443,14 +445,57 @@ def structural_features(doc: SourceDoc) -> list[float]:
     ]
 
 
+class _CollectorPause:
+    """Turns the cyclic garbage collector off while any thread is inside it.
+
+    The first thread in records whether the collector was on, and the last
+    one out turns it back on only if it was. The count is kept under a lock:
+    a thread that read the collector as off because another thread's pause
+    had turned it off would otherwise never turn it back on.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._was_enabled = False
+
+    def __enter__(self):
+        with self._lock:
+            if not self._inside:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._inside += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._inside -= 1
+            if not self._inside and self._was_enabled:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+
+
 def analyze(source: str, lenient: bool = False) -> StyleVectorRaw:
     """Compute the full 34-feature raw style vector for one source text.
 
     Strict by default: lexer errors propagate and malformed ``def``
     headers raise. Lenient mode tokenizes through problems and keeps
     whatever parses.
+
+    The cyclic garbage collector is off for the length of the call and is
+    turned back on at the end, raising or not, only if it was on at entry;
+    when calls overlap in several threads, it comes back on as the last one
+    returns. Every token stays tracked by the collector (``Token`` is a
+    ``NamedTuple`` subclass holding an enum member), so a large file would
+    trigger many collections that find nothing: the doc and everything built
+    from it form no reference cycle and die by reference count when the call
+    returns. The pause is process-wide. A thread that turns the collector off
+    while ``analyze`` runs in another thread finds it on again once that call
+    returns.
     """
-    return analyze_doc(SourceDoc.of(source, lenient))
+    with _COLLECTOR_PAUSE:
+        return analyze_doc(SourceDoc.of(source, lenient))
 
 
 def analyze_doc(doc: SourceDoc) -> StyleVectorRaw:

@@ -728,3 +728,32 @@ def test_a_declared_error_raised_in_a_command_exits_with_its_code(files, capsys,
     assert json.loads(err.strip()) == {
         "error": cls.__name__, "message": "raised in a command", "code": code}
     assert out == ""
+
+
+def test_analyzer_commands_leave_numpy_unloaded(tmp_path):
+    """``import stylekit`` and the analyzer modules load no numpy, nor do the
+    commands that only analyse and score; the encoder names load on first use."""
+    path = tmp_path / "m.py"
+    path.write_text(RICH)
+    code = (
+        "import sys, contextlib, io\n"
+        "import stylekit, stylekit.features, stylekit.metrics, stylekit.cli\n"
+        "p = sys.argv[1]\n"
+        "for argv in (['analyze', p, '--json'], ['css', p, p], ['diff', p, p],\n"
+        "             ['score', '--candidate', p, '--reference', p, '--json']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert stylekit.cli.main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules\n"
+        "from stylekit import train, load_checkpoint\n"
+        "assert 'numpy' in sys.modules\n"
+        "assert train is stylekit.contrastive.train\n"
+        "assert load_checkpoint is stylekit.checkpoint.load\n"
+        "assert all(hasattr(stylekit, name) for name in stylekit.__all__)\n"
+        "assert set(stylekit.__all__) <= set(dir(stylekit))\n"
+        "print('ok')\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import gc
 import json
+import sys
+import sysconfig
+import threading
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stylekit import features
 from stylekit.features import (
     NAMING_SLICE,
     LAYOUT_SLICE,
@@ -29,6 +35,7 @@ from stylekit.features import (
     to_json,
     to_json_document,
 )
+from stylekit.lexer import InputError
 from stylekit.syntax import SourceDoc, parse_functions
 
 GOLDEN_DIR = Path(__file__).resolve().parent.parent / "golden"
@@ -383,3 +390,147 @@ def test_csv_has_registry_header():
     assert lines[0] == "kind," + ",".join(REGISTRY)
     assert lines[1].startswith("raw,")
     assert lines[2].startswith("normalized,")
+
+
+# ``analyze`` pauses the cyclic collector. One input that analyses in both
+# modes, then one for each way it raises: InvalidCharacter in both modes,
+# UnterminatedString and SyntaxUnsupported when strict, EmptySource in both.
+PAUSE_INPUTS = ["def f(a):\n    return a\n", "x = ²\n", "s = 'abc\n", "   \n",
+                "if x\n    y\n"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+@pytest.mark.parametrize("source", PAUSE_INPUTS)
+def test_analyze_leaves_the_collector_as_it_found_it(source, lenient, enabled):
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        try:
+            analyze(source, lenient=lenient)
+        except InputError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+# Twenty stdlib modules of at least 2 KB.
+STDLIB_SOURCES = [p.read_text(encoding="utf-8")
+                  for p in sorted(Path(sysconfig.get_paths()["stdlib"]).glob("*.py"))
+                  if p.stat().st_size >= 2_000][:20]
+
+
+def test_analyze_runs_no_collection():
+    collections = []
+
+    def record(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    gc.callbacks.append(record)
+    try:
+        analyze(max(STDLIB_SOURCES, key=len))
+    finally:
+        gc.callbacks.remove(record)
+        if not was_enabled:
+            gc.disable()
+    assert collections == []
+
+
+@pytest.mark.parametrize("lenient", [False, True], ids=["strict", "lenient"])
+def test_analyze_leaves_no_reference_cycles(lenient):
+    """What makes the pause free: nothing ``analyze`` allocates needs the
+    collector, because none of it forms a reference cycle."""
+    sources = [doc["source"] for doc in GOLDEN_DOCS] + STDLIB_SOURCES
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for source in sources:
+            analyze(source, lenient=lenient)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_analyze_in_threads_turns_the_collector_back_on():
+    """Eight threads, more than the cores, analyse the goldens at once and
+    switch often. Overlapping pauses must still end with the collector on,
+    and every vector must equal the serial one."""
+    sources = [doc["source"] for doc in GOLDEN_DOCS]
+    serial = [analyze(source, lenient=lenient) for source in sources for lenient in (False, True)]
+    results = {}
+
+    def work(i):
+        results[i] = [[analyze(source, lenient=lenient) for source in sources
+                       for lenient in (False, True)] for _ in range(3)]
+
+    was_enabled = gc.isenabled()
+    interval = sys.getswitchinterval()
+    gc.enable()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        deadline = time.monotonic() + 5.0
+        for thread in threads:
+            thread.join(timeout=max(deadline - time.monotonic(), 0.0))
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        if not was_enabled:
+            gc.disable()
+    assert sorted(results) == list(range(8))
+    assert all(runs == [serial] * 3 for runs in results.values())
+
+
+def test_overlapping_pauses_turn_the_collector_back_on(monkeypatch):
+    """The interleaving that a pause without a lock gets wrong. B reads the
+    collector as off while A is inside; A leaves and turns it on; B turns it
+    off and, having found it off, leaves it off. Each step waits at most
+    0.2 s for the one before it, so under the lock the waits time out."""
+    a_inside, b_read, a_left = threading.Event(), threading.Event(), threading.Event()
+
+    class Collector:
+        def isenabled(self):
+            enabled = gc.isenabled()
+            if threading.current_thread().name == "B":
+                b_read.set()
+                a_left.wait(0.2)
+            return enabled
+
+        def disable(self):
+            gc.disable()
+            if threading.current_thread().name == "A":
+                a_inside.set()
+                b_read.wait(0.2)
+
+        def enable(self):
+            gc.enable()
+            if threading.current_thread().name == "A":
+                a_left.set()
+
+    def run_b():
+        a_inside.wait(5.0)
+        analyze("y = 2\n")
+
+    was_enabled = gc.isenabled()
+    gc.enable()
+    monkeypatch.setattr(features, "gc", Collector())
+    try:
+        threads = [threading.Thread(target=analyze, args=("x = 1\n",), name="A"),
+                   threading.Thread(target=run_b, name="B")]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=5.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert gc.isenabled()
+    finally:
+        gc.enable() if was_enabled else gc.disable()
