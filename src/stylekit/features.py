@@ -346,9 +346,13 @@ def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[fl
 
 def space_pattern(source: str) -> float:
     """Occupancy density of the 24x64 binary line-column matrix."""
-    source = normalize_newlines(source)
+    return _space_pattern(split_lines(normalize_newlines(source)))
+
+
+def _space_pattern(lines: list[str]) -> float:
+    """``space_pattern`` of a text's :func:`split_lines`."""
     occupied = 0
-    for line in split_lines(source)[:SPACE_PATTERN_ROWS]:
+    for line in lines[:SPACE_PATTERN_ROWS]:
         # str.split cuts at exactly the characters str.isspace accepts
         occupied += sum(map(len, line.expandtabs(TAB_WIDTH)[:SPACE_PATTERN_COLS].split()))
     return occupied / (SPACE_PATTERN_ROWS * SPACE_PATTERN_COLS)
@@ -400,7 +404,7 @@ def layout_features(doc: SourceDoc) -> list[float]:
     return [
         blank_ratio, avg_len, var_len, indent_avg, space_before,
         comment_ratio, hint_ratio, indent_consistency,
-        space_pattern("\n".join(doc.lines[:SPACE_PATTERN_ROWS])),  # only the rows it reads
+        _space_pattern(doc.lines),
     ]
 
 

@@ -2,9 +2,10 @@
 
 Token positions are (1-based line, 0-based column). Columns are display
 columns with tabs expanded to a stop every ``TAB_WIDTH`` columns, so all
-downstream indentation math shares one measurement. Each physical line
-counts from after the last form feed among its leading blanks, as in
-``tokenize``, also inside brackets, after a backslash join or a string.
+downstream indentation math shares one measurement. Spaces, tabs and form
+feeds are blanks, never tokens. Each physical line counts from after the
+last form feed among its leading blanks, as in ``tokenize``, also inside
+brackets, after a backslash join or a string.
 
 ``Newline``, ``Indent`` and ``Dedent`` are synthetic tokens with empty
 text: ``Newline`` marks the end of a logical line (physical newlines
@@ -415,12 +416,24 @@ def bracket_depths(tokens: list[Token]) -> list[int]:
 def lex(source: str, lenient: bool = False) -> list[Token]:
     """Tokenize source text deterministically.
 
-    Comments and string literals are single tokens; operators take the
-    longest match. Unknown characters become ``Punct`` tokens, except that
-    a non-decimal character ``str.isdigit`` accepts (``²``) raises
-    :class:`InvalidCharacter` in both modes. In strict mode an unclosed
-    string raises :class:`UnterminatedString`; in lenient mode it is closed
-    at end of line / end of file.
+    The text is read as :func:`normalize_newlines` leaves it, so a leading
+    BOM goes. Comments and string literals are single tokens; operators take
+    the longest match. A number takes its trailing dot even before another
+    dot (``5..a`` gives ``5.``, ``.``, ``a``, as ``tokenize`` does). Unknown
+    characters become ``Punct`` tokens, except that a non-decimal character
+    ``str.isdigit`` accepts (``²``) raises :class:`InvalidCharacter` in both
+    modes. In strict mode an unclosed string raises
+    :class:`UnterminatedString`; in lenient mode it is closed at end of
+    line / end of file.
+
+    The text ends with a ``Newline`` if its last logical line has none yet,
+    then a ``Dedent`` for each open ``Indent``. As in ``tokenize``, those
+    ``Dedent`` tokens sit on the line after the last one, unless the text
+    ends without a line feed on a line that holds only blanks at a statement
+    start: then on that line. No synthetic token sits past ``(n + 1, 0)``,
+    for the n lines of :func:`split_lines`; a final ``Newline`` sits there
+    when the text's last line feed lies in a token or a backslash join, as
+    in ``lex("def:'\\\\\\n", lenient=True)``.
     """
     return _Scanner(normalize_newlines(source), lenient).run()
 

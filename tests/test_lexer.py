@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import ast
+import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import archetype_corpus as ac
+from lexer_invariants import stdlib_modules, violations
 from stylekit import features, lexer, metrics, syntax
 from stylekit.lexer import (
     InvalidCharacter,
@@ -18,6 +21,7 @@ from stylekit.lexer import (
     lex,
     line_profile,
 )
+from text_strategies import source_texts
 
 
 def kinds(tokens):
@@ -96,9 +100,19 @@ def test_unterminated_string_raises_with_line():
     assert exc.value.line == 2
 
 
-def test_lenient_mode_closes_unterminated_string():
-    toks = lex('b = "oops', lenient=True)
-    assert toks[-2].kind is TokenKind.STRING
+@pytest.mark.parametrize("src, expected", [
+    ('b = "oops', [("b", 1, 0), ("=", 1, 2), ('"oops', 1, 4), ("", 1, 9)]),
+    # one quote: closed before the line feed, which ends the logical line
+    ("s = 'a\nt", [("s", 1, 0), ("=", 1, 2), ("'a", 1, 4), ("", 1, 6), ("t", 2, 0), ("", 2, 1)]),
+    # three quotes: closed at the end of the text
+    ("s = '''a\nt", [("s", 1, 0), ("=", 1, 2), ("'''a\nt", 1, 4), ("", 2, 1)]),
+    # a backslash takes the last line feed, so the Newline sits at (n + 1, 0)
+    ("def:'\\\n", [("def", 1, 0), (":", 1, 3), ("'\\\n", 1, 4), ("", 2, 0)]),
+])
+def test_lenient_mode_closes_unterminated_string(src, expected):
+    toks = lex(src, lenient=True)
+    assert [(t.text, t.line, t.col) for t in toks] == expected
+    assert toks[2].kind is TokenKind.STRING
 
 
 def test_unknown_character_becomes_punct():
@@ -123,15 +137,23 @@ def test_tab_expands_to_four_columns():
     assert x.col == 4
 
 
-def test_indent_dedent_pairing():
-    src = "if a:\n    b = 1\nc = 2"
-    ks = kinds(lex(src))
-    assert ks.count(TokenKind.INDENT) == 1
-    assert ks.count(TokenKind.DEDENT) == 1
+@pytest.mark.parametrize("src, dedent_line", [
+    ("if a:\n    b = 1\nc = 2", 3),
+    # a closing Dedent sits on the line after the last one...
+    ("if a:\n  b\n", 3),
+    ("if a:\n  b", 3),
+    ("if a:\n  b \\\n  ", 4),  # after a backslash join too
+    # ...unless only blanks start a statement on a last line without a line feed
+    ("if a:\n  b\n  ", 3),
+])
+def test_indent_dedent_pairing(src, dedent_line):
+    toks = lex(src)
+    assert [(t.line, t.col) for t in toks if t.kind is TokenKind.INDENT] == [(2, 0)]
+    assert [(t.line, t.col) for t in toks if t.kind is TokenKind.DEDENT] == [(dedent_line, 0)]
 
 
 def test_blank_and_comment_lines_do_not_dedent():
-    src = "def f():\n    a = 1\n\n    # note\n    return a\n"
+    src = "def f():\n    a = 1\n\n    # note\n# outdented\n      # deeper\n    return a\n"
     ks = kinds(lex(src))
     assert ks.count(TokenKind.INDENT) == 1
     assert ks.count(TokenKind.DEDENT) == 1
@@ -200,18 +222,35 @@ SAMPLES = [
     "try:\n    pass\nexcept ValueError:\n    raise\n",
     "# leading comment\n\nx = 'multi\\nline'\ny = \"\"\"a\nb\"\"\"\n",
     "total = sum(\n    v\n    for v in vals\n)\n",
+    "a = 1\rb = 2\r\nc = 3\n",          # CR and CRLF line ends
+    "if a:\n \x0c \x0c  b = 1\n",       # the column restarts at the last form feed
+    "x = 'open\n\ty\tz = '''\nend",     # a tab after a name; open strings
 ]
 
 
 @pytest.mark.parametrize("src", SAMPLES)
-def test_every_non_whitespace_char_covered_once(src):
-    toks = lex(src)
-    covered = sum(len(t.text) for t in toks if not t.is_synthetic())
-    non_ws = sum(1 for c in src if not c.isspace())
-    ws_inside_tokens = sum(
-        1 for t in toks if not t.is_synthetic() for c in t.text if c.isspace()
-    )
-    assert covered == non_ws + ws_inside_tokens
+def test_lexer_invariants_hold_on_samples(src):
+    assert violations(src) == []
+
+
+@given(source_texts())
+@settings(max_examples=1000, deadline=None)
+# A lenient string left open to the end of a text that ends in a line feed
+# takes that line feed, so the closing Newline sits at (n + 1, 0).
+@example("def:'\\\n")
+def test_lexer_invariants_hold_on_generated_text(src):
+    assert violations(src) == []
+
+
+def test_lexer_invariants_hold_on_the_archetype_corpus():
+    assert [name for name, src, _ in ac.make_corpus(60, seed=0) if violations(src)] == []
+
+
+def test_lexer_invariants_hold_on_stdlib_modules():
+    modules = stdlib_modules()
+    assert len(modules) > 50
+    sample = random.Random(0).sample(modules, 40)
+    assert {p.name: v for p in sample if (v := violations(p.read_text(encoding="utf-8")))} == {}
 
 
 @given(st.text(alphabet="abc_ (),:=+#'\n\t0123456789", max_size=80))

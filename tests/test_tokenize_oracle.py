@@ -15,8 +15,8 @@ On code that ``compile`` accepts, ``lex`` must give the token stream of
 The intended divergences listed in the ``stylekit.lexer`` docstring are
 mapped too, and ``test_listed_divergences`` pins each. The inputs are every
 top-level stdlib module, as is and with its trailing newlines stripped, the
-archetype corpus and held-out files, and texts built from the lexer
-differential test's fragments. The line profile's comment flags are held to
+archetype corpus and held-out files, and texts built from
+``text_strategies.FRAGMENTS``. The line profile's comment flags are held to
 ``tokenize`` on the stdlib modules that compile and on the archetype files.
 From Python 3.12 ``tokenize`` splits an f-string into parts (PEP 701), so the
 oracle runs on earlier versions only.

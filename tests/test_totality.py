@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 
 import stylekit
 from stylekit import contrastive
-from stylekit.features import analyze, normalize
+from stylekit.features import analyze, normalize, space_pattern
 from stylekit.lexer import InputError, normalize_newlines, split_lines
 from stylekit.metrics import score
 from stylekit.nn import CodeTower
@@ -46,6 +46,7 @@ def finite(values, unit: bool = False) -> bool:
 @settings(max_examples=200, deadline=None)
 @example("def:'\\\n")        # a string left open by a backslash takes the final line feed
 @example("def f(): '''x\n")
+@example("\ufeff\ufeffx = 1\n")  # still starts with U+FEFF once its BOM goes
 def test_every_text_entry_point_is_total(text):
     lines = len(split_lines(normalize_newlines(text)))
     snippets = outcome(contrastive.extract_snippets, text)
@@ -57,6 +58,7 @@ def test_every_text_entry_point_is_total(text):
         assert records is None or all(1 <= r.body_line_span <= max(lines, 1) for r in records)
         raw = outcome(analyze, text, lenient)
         assert raw is None or (finite(raw.values) and finite(normalize(raw).values, unit=True))
+        assert raw is None or raw.as_dict()["space_pattern_code"] == space_pattern(text)
     for candidate, reference in ((text, OTHER), (OTHER, text)):
         report = outcome(score, candidate, reference)
         assert report is None or (finite([report.style_loss]) and finite(
