@@ -313,32 +313,49 @@ def _identifiers(doc: SourceDoc) -> list[IdentifierRecord]:
 # -- feature groups -----------------------------------------------------------
 
 
-_DROP_PUNCTUATION = str.maketrans("", "", string.punctuation)
+# The ASCII characters each ``str.isX`` test accepts, and string.punctuation, as bytes.
+_ASCII = bytes(range(128))
+_ALPHA, _UPPER, _LOWER, _DIGIT, _SPACE = (bytes(c for c in _ASCII if test(chr(c))) for test in (
+    str.isalpha, str.isupper, str.islower, str.isdigit, str.isspace))
+_PUNCTUATION = string.punctuation.encode()
+# The 19 characters outside ASCII that ``str.isspace`` accepts, in UTF-8.
+_WIDE_SPACES = tuple(map(str.encode, "\x85\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006"
+                                     "\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000"))
+
+
+def _count(data: bytes, chars: bytes) -> int:
+    """How many bytes of ``data`` are among ``chars``."""
+    return len(data) - len(data.translate(None, chars))
 
 
 def naming_features(identifiers: list[IdentifierRecord], source: str) -> list[float]:
-    """The 14 naming features; all zeros for an empty identifier set."""
+    """The 14 naming features; all zeros for an empty identifier set. ASCII
+    characters are counted as UTF-8 bytes (a lone surrogate passes), the
+    others, most often none, by ``str`` methods."""
     n = len(identifiers)
     if n == 0:
         return [0.0] * 14
     texts = [r.text for r in identifiers]
     joined = "".join(texts)
     chars = len(joined)
-    letters = sum(map(str.isalpha, joined))
-    cats = Counter(r.category for r in identifiers)
-    dists = [cats[cat] / n for cat in (  # the dist_* features, in registry order
+    names = joined.encode("utf-8", "surrogatepass")
+    wide = names.translate(None, _ASCII).decode("utf-8", "surrogatepass")
+    letters = _count(names, _ALPHA) + sum(map(str.isalpha, wide))
+    cats = [r.category for r in identifiers]
+    dists = [cats.count(cat) / n for cat in (  # the dist_* features, in registry order
         NameCategory.PASCAL_CASE, NameCategory.SNAKE_CASE, NameCategory.CAMEL_CASE,
         NameCategory.UPPER_CASE, NameCategory.PRIVATE, NameCategory.DUNDER)]
-    non_ws = sum(map(len, source.split()))
-    punct = len(source) - len(source.translate(_DROP_PUNCTUATION))
+    data = source.encode("utf-8", "surrogatepass")
+    non_ws = (len(source) - _count(data, _SPACE)
+              - sum(map(data.translate(None, _ASCII).count, _WIDE_SPACES)))
     return [
         chars / n,
         sum(1 for t in texts if not any(map(str.isupper, t))) / n,
         joined.count("_") / chars,
-        sum(map(str.isdigit, joined)) / chars,
-        punct / non_ws if non_ws else 0.0,
-        sum(map(str.isupper, joined)) / letters if letters else 0.0,
-        sum(map(str.islower, joined)) / letters if letters else 0.0,
+        (_count(names, _DIGIT) + sum(map(str.isdigit, wide))) / chars,
+        _count(data, _PUNCTUATION) / non_ws if non_ws else 0.0,
+        (_count(names, _UPPER) + sum(map(str.isupper, wide))) / letters if letters else 0.0,
+        (_count(names, _LOWER) + sum(map(str.islower, wide))) / letters if letters else 0.0,
         *dists,
         max(dists[:4]),  # the four case styles
     ]
@@ -395,7 +412,7 @@ def layout_features(doc: SourceDoc) -> list[float]:
         consistent = sum(
             1 for rec in indented
             if rec.indent_columns % unit == 0
-            and (set(rec.leading_ws) <= {" "} or set(rec.leading_ws) <= {"\t"})
+            and not (rec.leading_ws.strip(" ") and rec.leading_ws.strip("\t"))
         )
         indent_consistency = consistent / len(indented)
     else:

@@ -475,20 +475,24 @@ def line_profile(source: str) -> LineProfile:
 
 
 def profile_lines(raw_lines: list[str], tokens: list[Token]) -> LineProfile:
-    """The line profile of a text's :func:`split_lines` from its tokens."""
-    comment_lines: set[int] = set()
-    code_lines: set[int] = set()
-    add_code = code_lines.add
-    comment, string = _COMMENT, _STRING  # locals load faster in this per-token loop
-    for kind, text, line, _ in tokens:
-        if kind is comment:
-            comment_lines.add(line)
-        elif kind is string and "\n" in text:  # the only token that spans lines
-            code_lines.update(range(line, last_line(line, text) + 1))
-        elif kind not in _SYNTHETIC:
-            add_code(line)
-    comment_only = comment_lines - code_lines
-    inline = comment_lines & code_lines
+    """The line profile of a text's :func:`split_lines` from its tokens.
+
+    A comment runs to its line's end, so the token just before it decides
+    its line: the line holds code exactly when that token ends on the
+    comment's line (:func:`last_line`). That token is never a comment, which
+    ends on an earlier line, nor a synthetic one: none stands before a
+    comment on the comment's line.
+    """
+    comment_only: set[int] = set()
+    inline: set[int] = set()
+    prev = ("", "", 0)  # ends on line 0, before any comment
+    for tok in tokens:
+        if tok[0] is _COMMENT:
+            if last_line(prev[2], prev[1]) == tok[2]:
+                inline.add(tok[2])
+            else:
+                comment_only.add(tok[2])
+        prev = tok
     records = []
     for idx, text in enumerate(raw_lines, start=1):
         rest = text.lstrip()

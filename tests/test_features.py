@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import json
+import string
 import sys
 import sysconfig
 import threading
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import xversion
 from stylekit import features
 from stylekit.features import (
     NAMING_SLICE,
@@ -104,6 +106,58 @@ def test_naming_features_digit_example():
     named = dict(zip(REGISTRY[NAMING_SLICE], feats))
     assert named["digit_ratio"] == 0.5
     assert named["uppercase_ratio"] == 1.0
+
+
+def naming_reference(identifiers, source):
+    """The 14 naming features from ``str`` methods alone."""
+    n = len(identifiers)
+    if n == 0:
+        return [0.0] * 14
+    joined = "".join(r.text for r in identifiers)
+    letters = sum(map(str.isalpha, joined))
+    non_ws = sum(map(len, source.split()))
+    punct = len(source) - len(source.translate(str.maketrans("", "", string.punctuation)))
+    dists = [sum(r.category is cat for r in identifiers) / n for cat in (
+        NameCategory.PASCAL_CASE, NameCategory.SNAKE_CASE, NameCategory.CAMEL_CASE,
+        NameCategory.UPPER_CASE, NameCategory.PRIVATE, NameCategory.DUNDER)]
+    return [
+        len(joined) / n,
+        sum(not any(map(str.isupper, r.text)) for r in identifiers) / n,
+        joined.count("_") / len(joined),
+        sum(map(str.isdigit, joined)) / len(joined),
+        punct / non_ws if non_ws else 0.0,
+        sum(map(str.isupper, joined)) / letters if letters else 0.0,
+        sum(map(str.islower, joined)) / letters if letters else 0.0,
+        *dists,
+        max(dists[:4]),
+    ]
+
+
+# Every character outside ASCII that str.isspace accepts, letters of three
+# cases, a digit that is not ASCII, a full-width comma and a lone surrogate.
+WIDE_SPACES = [c for c in map(chr, range(128, sys.maxunicode + 1)) if c.isspace()]
+MIXED_CHARS = st.one_of(
+    st.characters(max_codepoint=127),
+    st.sampled_from(WIDE_SPACES + ["é", "ǅ", "٣", "𝔘", "，", "\ud800"]),
+)
+MIXED_TEXT = st.lists(MIXED_CHARS, max_size=40).map("".join)
+
+
+def test_every_wide_space_is_counted():
+    assert len(WIDE_SPACES) == 19
+    assert [c.encode() for c in WIDE_SPACES] == list(features._WIDE_SPACES)
+
+
+@given(st.lists(st.lists(MIXED_CHARS, min_size=1, max_size=12).map("".join), max_size=6),
+       MIXED_TEXT)
+@settings(max_examples=500, deadline=None)
+def test_naming_features_count_as_str_methods_do(names, source):
+    identifiers = [classify_identifier(name) for name in names]
+    assert naming_features(identifiers, source) == naming_reference(identifiers, source)
+
+
+def test_a_lone_surrogate_analyses():
+    assert len(analyze("x = '\ud800'\n", lenient=True).values) == 34
 
 
 def test_layout_hand_example():
@@ -254,6 +308,12 @@ def test_golden_vectors(doc):
     got = raw.as_dict()
     for name in REGISTRY:
         assert got[name] == pytest.approx(doc["raw"][name], abs=1e-9), name
+
+
+def test_cross_version_fingerprint():
+    """Tokens, vectors and score reports of the goldens and 2,000 edge-case
+    texts hash alike on Python 3.10 to 3.13 (``tests/xversion.py``)."""
+    assert xversion.fingerprint() == xversion.EXPECTED
 
 
 def test_analyze_rejects_empty():

@@ -346,6 +346,42 @@ def test_line_profile_string_spanning_lines_is_code():
     assert not prof.lines[1].is_comment_only
 
 
+def comment_flags_by_definition(source: str) -> list[tuple[bool, bool]]:
+    """(comment-only, inline comment) of each line from the lenient tokens: a
+    line holds code when a real token other than a comment covers it, a
+    string every line it spans (a line feed that ends it, a lenient open
+    string's, belongs to the line it ends)."""
+    text = lexer.normalize_newlines(source)
+    comment, code = set(), set()
+    for tok in lex(text, lenient=True):
+        if tok.kind is TokenKind.COMMENT:
+            comment.add(tok.line)
+        elif not tok.is_synthetic():
+            code.update(range(tok.line, tok.line + tok.text[:-1].count("\n") + 1))
+    return [(line in comment and line not in code, line in comment and line in code)
+            for line in range(1, len(lexer.split_lines(text)) + 1)]
+
+
+# Where the tokenize oracle cannot reach: text that does not compile, and any
+# Python from 3.12.
+@given(source_texts())
+@settings(max_examples=1000, deadline=None)
+@example('s = """a\nb"""  # c\n')          # after a triple-quoted string closing on its line
+@example("x = (\n    # c\n    1,  # d\n)\n")  # comment-only lines inside brackets
+@example("x = 1 + \\\n    # c\ny = \\\n  2  # d\n")  # comments after backslash joins
+@example("x = 1\n# c")                    # a comment on a last line with no line feed
+@example("x = 1  # c")
+@example("\x0c# c\nx = 1\x0c# d\n")       # form feeds before comments
+@example("s = 'abc\n# c\n")               # a lenient unterminated string, then a comment line
+def test_comment_flags_follow_their_definition(source):
+    try:
+        profile = line_profile(source)
+    except InvalidCharacter:  # "²", the one error of lenient mode
+        return
+    flags = [(rec.is_comment_only, rec.has_inline_comment) for rec in profile.lines]
+    assert flags == comment_flags_by_definition(source)
+
+
 def test_indent_columns_tab_stops():
     assert indent_columns("\t") == 4
     assert indent_columns("  \t") == 4
